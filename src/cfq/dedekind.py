@@ -1,20 +1,23 @@
 """Dedekind sums, exact, via the direct sum and via partial quotients.
 
 D(a, N) = sum_{b=1}^{N-1} ((b/N)) ((ab/N)) with ((x)) the sawtooth.
-The closed form through the expansion of a/N uses the alternating digit
-sum together with the next-to-last denominator of the reversed expansion:
+The closed form through the expansion a/N = [0; a_1, ..., a_r] uses the
+alternating digit sum together with the next-to-last convergent
+denominator q_{r-1} of the same expansion:
 
-    D(a, N) = ((-1)^r - 1)/8 + (1/12) (a/N - (-1)^r q*_{r-1}/N - S_alt)
+    D(a, N) = ((-1)^r - 1)/8 + (1/12) (a/N - (-1)^r q_{r-1}/N - S_alt)
 
-where [0; a_r, ..., a_1] = q*_{r-1}/N and S_alt = sum_i (-1)^i a_i.
+where S_alt = sum_i (-1)^i a_i.  Continuants are symmetric, so q_{r-1}
+is also the numerator of the reversed expansion [0; a_r, ..., a_1], and
+one forward Euclid walk yields every term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import ReducedFraction, cf_digits, evaluate_digits, stat_alt, expand
-from .errors import LimitExceeded, NotCoprime
+from .core import ReducedFraction, stat_alt, expand
+from .errors import InvariantError, LimitExceeded, NotCoprime
 
 #: The direct sum walks all residues once; beyond this it is pointless
 #: next to the closed form.
@@ -38,29 +41,24 @@ def dedekind_direct(frac: ReducedFraction) -> Fraction:
 
 def dedekind_bh(frac: ReducedFraction) -> Fraction:
     """D(a, N) from the partial quotients of a/N, O(log N)."""
-    digits = cf_digits(frac.a, frac.N)
-    r = len(digits)
-    p_rev, q_check = evaluate_digits(digits[::-1])
-    assert q_check == frac.N
-    sign = -1 if r % 2 else 1
-    s_alt = 0
-    for i, d in enumerate(digits, start=1):
-        s_alt += -d if i % 2 else d
-    return (Fraction(sign - 1, 8)
-            + Fraction(frac.a - sign * p_rev, 12 * frac.N)
-            - Fraction(s_alt, 12))
+    return Fraction(dedekind_scaled(frac.a, frac.N), 24 * frac.N)
 
 
 def dedekind_scaled(a: int, N: int) -> int:
-    """24 N D(a, N) as an integer, for scan accumulators."""
-    digits = cf_digits(a, N)
-    r = len(digits)
-    p_rev, _ = evaluate_digits(digits[::-1])
-    sign = -1 if r % 2 else 1
+    """24 N D(a, N) as an integer, from one forward Euclid walk."""
+    num, den = a, N
+    q0, q1 = 0, 1  # (q_{i-1}, q_i)
+    sign = 1  # (-1)^i
     s_alt = 0
-    for i, d in enumerate(digits, start=1):
-        s_alt += -d if i % 2 else d
-    return 3 * N * (sign - 1) + 2 * (a - sign * p_rev) - 2 * s_alt * N
+    while num:
+        d, rem = divmod(den, num)
+        q0, q1 = q1, d * q1 + q0
+        sign = -sign
+        s_alt += sign * d
+        den, num = num, rem
+    if q1 != N:
+        raise InvariantError(f"{a}/{N} is not reduced: its walk ends at {q1}")
+    return 3 * N * (sign - 1) + 2 * (a - sign * q0) - 2 * N * s_alt
 
 
 def reciprocity_check(a: int, b: int) -> bool:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .core import (MAX_DENOMINATOR, ReducedFraction, Rational, WeightFn,
                    Window, cf_digits)
-from .errors import InvalidSpec, InvalidWindow, LimitExceeded
+from .errors import InvalidSpec, InvariantError, InvalidWindow, LimitExceeded
 from .dedekind import dedekind_scaled
 
 PI2 = math.pi ** 2
@@ -90,7 +91,8 @@ class EnsembleSummary:
     """Exact moments and tail counts of one statistic over Z_N*.
 
     Accumulators are kept at an integer scale so Dedekind sums (denominator
-    dividing 24N) stay exact: the statistic's value is raw/scale.
+    dividing 24N) stay exact: the statistic's value is raw/scale.  Histogram
+    keys are the exact values, Fraction(raw, scale) for D.
     """
 
     N: int
@@ -126,6 +128,29 @@ class EnsembleSummary:
         return self.tail_counts[t] / self.count
 
 
+def _partition(N: int, workers: int, cpus: int) -> tuple[list, int]:
+    """(ranges, processes) for splitting [1, N-1] among workers.
+
+    The ranges are min(workers, N-1) contiguous, non-empty [lo, hi) pieces;
+    they run on at most `cpus` processes.
+    """
+    workers = max(1, min(workers, N - 1))
+    bounds = [1 + (N - 1) * i // workers for i in range(workers + 1)]
+    return list(zip(bounds, bounds[1:])), min(workers, cpus)
+
+
+def _map_ranges(range_fn, N: int, workers: int, *args) -> list:
+    """range_fn((N, lo, hi, *args)) for each range of _partition, in order."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    ranges, processes = _partition(N, workers, cpus)
+    jobs = [(N, lo, hi) + args for lo, hi in ranges]
+    if processes > 1:
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
+            return pool.map(range_fn, jobs)
+    return [range_fn(job) for job in jobs]
+
+
 def _stat_value_scaled(spec: StatSpec, a: int, N: int):
     """Raw statistic value at the selector's integer scale."""
     kind = spec.kind
@@ -153,7 +178,7 @@ def _stat_value_scaled(spec: StatSpec, a: int, N: int):
 
 
 def _scan_range(args):
-    (N, spec, lo, hi, thresholds, with_histogram, center, absolute,
+    (N, lo, hi, spec, thresholds, with_histogram, center, absolute,
      scale) = args
     logN = math.log(N)
     cuts = [t * logN for t in thresholds]
@@ -169,10 +194,10 @@ def _scan_range(args):
         count += 1
         total += raw
         total_sq += raw * raw
-        if cuts or hist is not None:
+        if hist is not None:
+            hist[raw] = hist.get(raw, 0) + 1
+        if cuts:
             y = raw / scale if scale != 1 else raw
-            if hist is not None:
-                hist[y] = hist.get(y, 0) + 1
             z = float(y) - center
             if absolute:
                 z = abs(z)
@@ -194,18 +219,8 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
     scale = 24 * N if spec.kind == "D" else 1
     if spec.kind == "restricted":
         spec.f.validate_on(Window(spec.eta, spec.theta), max_digit=N)
-    jobs = []
-    workers = max(1, workers)
-    bounds = [1 + (N - 1) * i // workers for i in range(workers + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo < hi:
-            jobs.append((N, spec, lo, hi, thresholds, with_histogram,
-                         center, absolute, scale))
-    if len(jobs) > 1:
-        with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
-            parts = pool.map(_scan_range, jobs)
-    else:
-        parts = [_scan_range(job) for job in jobs]
+    parts = _map_ranges(_scan_range, N, workers, spec, thresholds,
+                        with_histogram, center, absolute, scale)
     count = sum(p[0] for p in parts)
     total = sum(p[1] for p in parts)
     total_sq = sum(p[2] for p in parts)
@@ -214,10 +229,12 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
     if with_histogram:
         hist = {}
         for p in parts:
-            for k, v in p[4].items():
+            for raw, v in p[4].items():
+                k = Fraction(raw, scale) if scale != 1 else raw
                 hist[k] = hist.get(k, 0) + v
     phi = euler_phi(N)
-    assert count == phi
+    if count != phi:
+        raise InvariantError(f"scan visited {count} numerators, phi({N}) = {phi}")
     return EnsembleSummary(N=N, phi=phi, spec=spec, count=count, scale=scale,
                            sum_scaled=total, sumsq_scaled=total_sq,
                            tail_counts=tails, histogram=hist,
@@ -269,14 +286,9 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
         raise InvalidSpec(f"need N >= 3, got {N}")
     if N >= MAX_DENOMINATOR:
         raise LimitExceeded(f"denominator {N} >= 2^62")
-    workers = max(1, workers)
-    bounds = [1 + (N - 1) * i // workers for i in range(workers + 1)]
-    jobs = [(N, lo, hi, m_max) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if len(jobs) > 1:
-        with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
-            parts = pool.map(_digit_range, jobs)
-    else:
-        parts = [_digit_range(job) for job in jobs]
+    if m_max < 1:
+        raise InvalidSpec(f"need m_max >= 1, got {m_max}")
+    parts = _map_ranges(_digit_range, N, workers, m_max)
     counts = {m: sum(p[0][m] for p in parts) for m in range(1, m_max + 1)}
     last = {m: sum(p[2][m] for p in parts) for m in counts}
     phi = euler_phi(N)
@@ -315,8 +327,7 @@ def constants(f: WeightFn, w: Window, b: int, c: int) -> TheoremConstants:
     """
     eta, theta = w.eta, w.finite_theta()
     f.validate_on(w)
-    if b < 1 or b > c:
-        raise InvalidWindow(f"need 1 <= b <= c, got ({b}, {c})")
+    mu = mu_window(b, c)
     A = (12 / PI2) * sum(float(f(m)) * math.log1p(1 / (m * (m + 2)))
                          for m in range(eta, theta + 1))
     B = A + float(f(theta)) / theta
@@ -327,7 +338,6 @@ def constants(f: WeightFn, w: Window, b: int, c: int) -> TheoremConstants:
           + sum(2 * float(f(m + 1) - f(m)) ** 2 / ((m + 1) * (m + 2))
                 for m in range(eta, theta))
           + 2 * float(f(theta)) ** 2 / ((theta + 1) * (theta + 2)))
-    mu = (12 / PI2) * sum(math.log1p(1 / (m * (m + 2))) for m in range(b, c + 1))
     return TheoremConstants(A=A, B=B, C=C, D=D, Dprime=Dprime, Xi=Xi, mu=mu)
 
 

@@ -47,3 +47,7 @@ class InvalidSpec(BadSpec):
 
 class LimitExceeded(CfqError):
     """Input beyond the documented size limit of an operation."""
+
+
+class InvariantError(CfqError):
+    """An internal consistency check failed: a bug, or unvalidated input."""

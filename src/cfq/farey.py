@@ -34,20 +34,24 @@ def enumerate_farey(Q: int):
         x0, y0, x1, y1 = x1, y1, k * x1 - x0, k * y1 - y0
 
 
+def _members(Q: int):
+    """Members a/N of F_Q with N >= 3, the ones normalized by ln N."""
+    if Q < 3:
+        raise BadRange(f"need Q >= 3, got {Q}")
+    return (frac for frac in enumerate_farey(Q) if frac.N >= 3)
+
+
 def hensley_tail(Q: int, t: float) -> tuple[float, float]:
     """(fraction of F_Q members with M >= t ln N, limit 1 - e^{-12/(pi^2 t)}).
 
     Members with N = 2 are skipped.
     """
-    if Q < 3:
-        raise BadRange(f"need Q >= 3, got {Q}")
+    members = _members(Q)
     if t <= 0:
         raise BadRange(f"need t > 0, got {t}")
     hits = 0
     total = 0
-    for frac in enumerate_farey(Q):
-        if frac.N < 3:
-            continue
+    for frac in members:
         total += 1
         if max(cf_digits(frac.a, frac.N)) >= t * math.log(frac.N):
             hits += 1
@@ -75,14 +79,11 @@ def vardi_sample(Q: int, probes: tuple = (-4.0, -2.0, -1.0, -0.5, 0.0,
     Report-only: empirical CDF at the probe points and the sup distance
     over those probes.  Members with N = 2 are skipped.
     """
-    if Q < 3:
-        raise BadRange(f"need Q >= 3, got {Q}")
+    members = _members(Q)
     probes = tuple(sorted(probes))
     below = [0] * len(probes)
     total = 0
-    for frac in enumerate_farey(Q):
-        if frac.N < 3:
-            continue
+    for frac in members:
         total += 1
         # 2 pi D / ln N with D = scaled / (24 N)
         v = 2 * math.pi * dedekind_scaled(frac.a, frac.N) / (24 * frac.N
@@ -103,13 +104,10 @@ def bd_tail(Q: int, t: float) -> tuple[float, float]:
     Returns (fraction with (S - (12/pi^2) ln N ln ln N)/ln N >= t,
     t * fraction).  Report-only; members with N = 2 are skipped.
     """
-    if Q < 3:
-        raise BadRange(f"need Q >= 3, got {Q}")
+    members = _members(Q)
     hits = 0
     total = 0
-    for frac in enumerate_farey(Q):
-        if frac.N < 3:
-            continue
+    for frac in members:
         total += 1
         logN = math.log(frac.N)
         center = (12 / PI2) * logN * math.log(logN)

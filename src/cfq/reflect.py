@@ -1,19 +1,22 @@
 """Digit-reversal bijections on the two halves of Z_N*.
 
-For a <= N/2 the expansion starts with a_1 >= 2, so reversing the digit
-list gives another canonical expansion with the same denominator.  For
-a > N/2 the expansion starts with a_1 = 1 and the reversal goes through a
-non-canonical rewrite: (1, a_2, ..., a_r) -> (1, a_2, ..., a_r - 1, 1),
-reverse, then merge the trailing 1 into its predecessor.  Both maps are
-involutions on their half, and the convergent denominators of a/N and
-a*/N interlock so that matched products sum to N at every index.
+For a <= N/2 the expansion a/N = [0; a_1, ..., a_r] starts with a_1 >= 2,
+and the reversed list [0; a_r, ..., a_1] is another canonical expansion
+with denominator N.  Continuants are symmetric, so its numerator is the
+next-to-last convergent denominator q_{r-1} of a/N: a* = q_{r-1}.  For
+a > N/2 the expansion starts with a_1 = 1; rewriting the tail as
+a_r - 1, 1, reversing, and merging the trailing 1 into its predecessor
+gives a canonical expansion with numerator a* = N - q_{r-1}.
+Both maps are involutions on their half, and the convergent denominators
+of a/N and a*/N interlock so that matched products sum to N at every
+index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ContinuedFraction, ReducedFraction, cf_digits, evaluate_digits, expand
+from .core import ContinuedFraction, ReducedFraction, cf_digits, convergents_of, expand
 from .errors import WrongHalf
 
 
@@ -28,24 +31,16 @@ def reflect_lower(frac: ReducedFraction) -> ReducedFraction:
     """Image a* with a*/N = [0; a_r, ..., a_1]; requires a <= N/2."""
     if 2 * frac.a > frac.N:
         raise WrongHalf(f"{frac.a}/{frac.N} is in the upper half")
-    digits = cf_digits(frac.a, frac.N)
-    p, q = evaluate_digits(digits[::-1])
-    assert q == frac.N
-    return ReducedFraction(p, frac.N)
+    q = convergents_of(cf_digits(frac.a, frac.N))[-2][1]  # q_{r-1}
+    return ReducedFraction(q, frac.N)
 
 
 def reflect_upper(frac: ReducedFraction) -> ReducedFraction:
     """Image a* of the upper-half reflection; requires a > N/2."""
     if 2 * frac.a <= frac.N:
         raise WrongHalf(f"{frac.a}/{frac.N} is in the lower half")
-    digits = cf_digits(frac.a, frac.N)
-    # a > N/2 forces a_1 = 1 and r >= 2.
-    rewritten = digits[:-1] + [digits[-1] - 1, 1]
-    reversed_ = rewritten[::-1]
-    canonical = reversed_[:-2] + [reversed_[-2] + 1]
-    p, q = evaluate_digits(canonical)
-    assert q == frac.N
-    return ReducedFraction(p, frac.N)
+    q = convergents_of(cf_digits(frac.a, frac.N))[-2][1]  # q_{r-1}
+    return ReducedFraction(frac.N - q, frac.N)
 
 
 def reflect(frac: ReducedFraction) -> ReflectionRecord:

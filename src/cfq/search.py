@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadRange, LimitExceeded
+from .errors import BadRange, InvariantError, LimitExceeded
 
 #: Full enumeration only; beyond this denominator the scans refuse to run.
 SEARCH_LIMIT = 10 ** 7
@@ -75,7 +75,8 @@ def min_max_quotient(N: int) -> ExtremalRecord:
         if best is None or m < best:
             best, best_a = m, a
     bound = 3 * math.log(N)
-    assert best <= bound, (N, best, bound)
+    if best > bound:
+        raise InvariantError(f"min M over Z_{N}* is {best} > 3 ln N = {bound}")
     return ExtremalRecord(N=N, argmin_a=best_a, min_value=best,
                           bound_value=bound, bound_holds=True)
 

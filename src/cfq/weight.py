@@ -302,20 +302,12 @@ def integral_row(k: int, f: WeightFn, w: Window) -> tuple[Fraction, float]:
     f.validate_on(w)
     exact = Fraction(0)
     phi_k = 0
-    if k == 1:
-        phi_k = 1
+    for b in range(1, k + 1):  # Z_k*, which is {1} for k = 1
+        if math.gcd(b, k) != 1:
+            continue
+        phi_k += 1
         for m in range(w.eta, theta + 1):
-            exact += Fraction(f(m)) * (measure_I(1, 1, m) + measure_Iprime(1, 1, m))
-    else:
-        for b in range(1, k):
-            if math.gcd(b, k) != 1:
-                continue
-            phi_k += 1
-            _, qs, _, qs1 = prefix_convergents(b, k)
-            for m in range(w.eta, theta + 1):
-                exact += Fraction(f(m)) * (
-                    Fraction(1, (m * qs + qs1) * ((m + 1) * qs + qs1))
-                    + Fraction(1, ((m + 1) * qs - qs1) * ((m + 2) * qs - qs1)))
+            exact += Fraction(f(m)) * (measure_I(b, k, m) + measure_Iprime(b, k, m))
     main = (2 * phi_k / k ** 2) * sum(
         float(f(m)) * math.log1p(1 / (m * (m + 2)))
         for m in range(w.eta, theta + 1))

@@ -136,3 +136,11 @@ def test_output_file(tmp_path, capsys):
     code = main(["-o", str(path), "expand", "10", "7"])
     assert code == 0
     assert json.loads(path.read_text())["S"] == 6
+
+
+@pytest.mark.parametrize("max_digit", ["-3", "0"])
+def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
+    code, out, err = run(capsys, "gk", "100", "--max-digit", max_digit)
+    assert code == 3
+    assert out == ""
+    assert "m_max" in err

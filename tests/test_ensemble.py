@@ -174,3 +174,30 @@ def test_panov_example():
     assert r["exact_mean"] == 8
     assert abs(r["target"] - 3.224) < 5e-3
     assert abs(r["ratio"] - 2.48) < 0.02
+
+
+def test_partition_ranges_and_processes():
+    from cfq.ensemble import _partition
+    # exactly `workers` contiguous, non-empty ranges when workers <= N - 1
+    ranges, processes = _partition(1009, 8, cpus=2)
+    assert len(ranges) == 8 and processes == 2
+    assert ranges[0][0] == 1 and ranges[-1][1] == 1009
+    assert all(lo < hi == nxt for (lo, hi), (nxt, _) in zip(ranges, ranges[1:]))
+    # more workers than numerators: one range per numerator, still 2 processes
+    assert _partition(50, 10 ** 6, cpus=2) == ([(a, a + 1) for a in range(1, 50)], 2)
+    assert _partition(50, 10 ** 6, cpus=1)[1] == 1
+    assert _partition(50, 0, cpus=2) == ([(1, 50)], 1)
+    assert _partition(2, 8, cpus=2) == ([(1, 2)], 1)
+
+
+def test_dedekind_histogram_keys_are_exact():
+    from cfq.dedekind import dedekind_bh
+    N = 101
+    s = scan(N, StatSpec("D"), with_histogram=True)
+    assert set(s.histogram) == {dedekind_bh(ReducedFraction(a, N))
+                                for a in range(1, N)}
+    assert all(isinstance(k, Fraction) for k in s.histogram)
+    assert sum(k * v for k, v in s.histogram.items()) == \
+        Fraction(s.sum_scaled, s.scale)
+    assert all(type(k) is int for k in scan(N, StatSpec("S"),
+                                            with_histogram=True).histogram)

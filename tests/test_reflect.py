@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cfq.core import ReducedFraction, cf_digits, expand
+from cfq.core import ReducedFraction, cf_digits, evaluate_digits, expand
 from cfq.errors import WrongHalf
 from cfq.reflect import (reflect, reflect_lower, reflect_upper,
                          verify_continuant_identity)
@@ -69,3 +69,28 @@ def test_upper_digit_pattern():
     assert img_digits[0] == 1
     assert img_digits[1] == digits[-1] - 1
     assert img_digits[-1] == digits[1] + 1
+
+
+def _reversed_image(a, N):
+    """a* by reversing the digit list, the earlier rule for both halves."""
+    digits = cf_digits(a, N)
+    if 2 * a <= N:
+        canonical = digits[::-1]
+    else:
+        # a_1 = 1: rewrite (..., a_r) as (..., a_r - 1, 1), reverse, then
+        # merge the trailing 1 into its predecessor
+        reversed_ = (digits[:-1] + [digits[-1] - 1, 1])[::-1]
+        canonical = reversed_[:-2] + [reversed_[-2] + 1]
+    p, q = evaluate_digits(canonical)
+    assert q == N
+    return p
+
+
+def test_reflections_match_digit_reversal():
+    for N in range(2, 600):
+        for a in range(1, N):
+            if math.gcd(a, N) != 1:
+                continue
+            frac = ReducedFraction(a, N)
+            image = reflect_lower(frac) if 2 * a <= N else reflect_upper(frac)
+            assert image.a == _reversed_image(a, N), (a, N)
