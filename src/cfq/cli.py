@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .core import ReducedFraction, WeightFn, Window, expand, stat_alt, stat_max, stat_sum
 from .dedekind import dedekind_bh
@@ -45,6 +46,30 @@ def _weight_from_name(name: str) -> WeightFn:
 
 def _emit(out, line: str) -> None:
     out.write(line + "\n")
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"cfq {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _check_range(command: str, rng) -> None:
+    if rng is not None and rng[0] > rng[1]:
+        _usage_error(f"{command}: --range LO HI needs LO <= HI, "
+                     f"got {rng[0]} > {rng[1]}")
+
+
+def fraction(text: str) -> Fraction:
+    """argparse type for a rational given as p/q or a decimal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def float_list(text: str) -> list[float]:
+    """argparse type for comma-separated floats; empty text gives []."""
+    return [float(t) for t in text.split(",")] if text else []
 
 
 def cmd_expand(args, out) -> int:
@@ -88,11 +113,12 @@ def _summary_record(summary) -> dict:
 
 def cmd_scan(args, out) -> int:
     if (args.N is None) == (args.range is None):
-        print("cfq scan: give either a single N or --range LO HI",
-              file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error("scan: give either a single N or --range LO HI")
+    _check_range("scan", args.range)
+    if args.stat == "L" and (args.b is None or args.c is None):
+        _usage_error("scan: --stat L needs --b and --c")
     spec = _spec_from_args(args)
-    thresholds = [float(t) for t in args.t.split(",")] if args.t else []
+    thresholds = args.t or []
     Ns = [args.N] if args.N is not None else list(range(args.range[0],
                                                         args.range[1] + 1))
     header_done = False
@@ -120,7 +146,7 @@ def cmd_dedekind(args, out) -> int:
 
 
 def cmd_discrepancy(args, out) -> int:
-    rng = IntervalQ(Fraction(args.lo), Fraction(args.hi), True, True)
+    rng = IntervalQ(args.lo, args.hi, True, True)
     report = reduced_fraction_discrepancy(args.N, rng)
     _emit(out, json.dumps({
         "N": args.N,
@@ -133,6 +159,7 @@ def cmd_discrepancy(args, out) -> int:
 
 
 def cmd_search(args, out) -> int:
+    _check_range("search", args.range)
     lo, hi = args.range
     if args.zaremba is not None:
         bad = zaremba_scan(lo, hi, args.zaremba)
@@ -213,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan every N in [LO, HI], one output line each")
     p.add_argument("--stat", default="S",
                    choices=["S", "M", "L", "S_alt", "D", "restricted"])
-    p.add_argument("--t", help="comma-separated tail thresholds (times ln N)")
+    p.add_argument("--t", type=float_list,
+                   help="comma-separated tail thresholds (times ln N)")
     p.add_argument("--b", type=int, help="window start for --stat L")
     p.add_argument("--c", type=int, help="window end for --stat L")
     p.add_argument("--f", default="one", choices=["one", "identity", "square"],
@@ -232,8 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discrepancy",
                        help="extreme discrepancy of {a/N} within a range")
     p.add_argument("N", type=int)
-    p.add_argument("--lo", default="0", help="range start, as p/q")
-    p.add_argument("--hi", default="1", help="range end, as p/q")
+    p.add_argument("--lo", type=fraction, default="0",
+                   help="range start, as p/q")
+    p.add_argument("--hi", type=fraction, default="1",
+                   help="range end, as p/q")
     p.set_defaults(func=cmd_discrepancy)
 
     p = sub.add_parser("search",

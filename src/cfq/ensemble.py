@@ -140,12 +140,15 @@ def _partition(N: int, workers: int, cpus: int) -> tuple[list, int]:
 
 
 def _map_ranges(range_fn, N: int, workers: int, *args) -> list:
-    """range_fn((N, lo, hi, *args)) for each range of _partition, in order."""
+    """range_fn((N, lo, hi, *args)) for each range of _partition, in order.
+
+    The ranges run serially where the platform cannot fork.
+    """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     ranges, processes = _partition(N, workers, cpus)
     jobs = [(N, lo, hi) + args for lo, hi in ranges]
-    if processes > 1:
+    if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
         with multiprocessing.get_context("fork").Pool(processes) as pool:
             return pool.map(range_fn, jobs)
     return [range_fn(job) for job in jobs]

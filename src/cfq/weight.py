@@ -8,6 +8,9 @@ ending in m+1 (excluded).  A point x lies in I(b/k, m) exactly when the
 expansion of x continues b_1..b_s with digit m, and in I'(b/k, m) when it
 continues the prefix through a digit 1.  Summing f(m) over both families
 for all prefixes b/k therefore counts weighted digit occurrences.
+Both families are one formula on a convergent pair (P, Q, P', Q'), with
+endpoints (m P + P')/(m Q + Q') and ((m+1) P + P')/((m+1) Q + Q'); the
+pairs come from `prefix_convergents`, where k = 1 takes the empty prefix.
 """
 
 from __future__ import annotations
@@ -72,61 +75,58 @@ def _check_prefix(b: int, k: int, m: int) -> None:
         raise NotCoprime(f"gcd({b}, {k}) != 1")
 
 
+_Pair = tuple[int, int, int, int]
+
+
 @lru_cache(maxsize=65536)
-def prefix_convergents(b: int, k: int) -> tuple[int, int, int, int]:
-    """(p_s, q_s, p_{s-1}, q_{s-1}) for b/k with k >= 2."""
+def prefix_convergents(b: int, k: int) -> tuple[_Pair, _Pair]:
+    """The convergent pairs (P, Q, P', Q') of I(b/k, .) and I'(b/k, .).
+
+    For k >= 2 these are (p_s, q_s, p_{s-1}, q_{s-1}) and the last two
+    convergents of [0; b_1..b_{s-1}, b_s - 1, 1]; for k = 1 they are the
+    empty prefix and [0; 1].
+    """
+    if k == 1:
+        return (0, 1, 1, 0), (1, 1, 0, 1)
     conv = convergents_of(cf_digits(b, k))
     (ps, qs), (ps1, qs1) = conv[-1], conv[-2]
-    return ps, qs, ps1, qs1
+    return (ps, qs, ps1, qs1), (ps, qs, ps - ps1, qs - qs1)
 
 
-def _ordered(e1: Fraction, e1_closed: bool, e2: Fraction) -> IntervalQ:
-    # e2 is always the excluded endpoint.
+def _interval(pair: _Pair, m: int) -> IntervalQ:
+    P, Q, P1, Q1 = pair
+    e1 = Fraction(m * P + P1, m * Q + Q1)  # included iff m > 1
+    e2 = Fraction((m + 1) * P + P1, (m + 1) * Q + Q1)  # always excluded
     if e1 < e2:
-        return IntervalQ(e1, e2, e1_closed, False)
-    return IntervalQ(e2, e1, False, e1_closed)
+        return IntervalQ(e1, e2, m > 1, False)
+    return IntervalQ(e2, e1, False, m > 1)
+
+
+def _measure(pair: _Pair, m: int) -> Fraction:
+    _, Q, _, Q1 = pair
+    return Fraction(1, (m * Q + Q1) * ((m + 1) * Q + Q1))
 
 
 def interval_I(b: int, k: int, m: int) -> IntervalQ:
     """The interval I(b/k, m) of points whose next digit after b/k is m."""
     _check_prefix(b, k, m)
-    if k == 1:
-        if m == 1:
-            return IntervalQ(Fraction(1, 2), Fraction(1), False, False)
-        return IntervalQ(Fraction(1, m + 1), Fraction(1, m), False, True)
-    ps, qs, ps1, qs1 = prefix_convergents(b, k)
-    e1 = Fraction(m * ps + ps1, m * qs + qs1)
-    e2 = Fraction((m + 1) * ps + ps1, (m + 1) * qs + qs1)
-    return _ordered(e1, m > 1, e2)
+    return _interval(prefix_convergents(b, k)[0], m)
 
 
 def interval_Iprime(b: int, k: int, m: int) -> IntervalQ:
     """The interval I'(b/k, m): next digit is m after an intervening 1."""
     _check_prefix(b, k, m)
-    if k == 1:
-        if m == 1:
-            return IntervalQ(Fraction(1, 2), Fraction(2, 3), False, False)
-        return IntervalQ(Fraction(m, m + 1), Fraction(m + 1, m + 2), True, False)
-    ps, qs, ps1, qs1 = prefix_convergents(b, k)
-    e1 = Fraction((m + 1) * ps - ps1, (m + 1) * qs - qs1)
-    e2 = Fraction((m + 2) * ps - ps1, (m + 2) * qs - qs1)
-    return _ordered(e1, m > 1, e2)
+    return _interval(prefix_convergents(b, k)[1], m)
 
 
 def measure_I(b: int, k: int, m: int) -> Fraction:
     """Closed-form Lebesgue measure of I(b/k, m)."""
-    if k == 1:
-        return Fraction(1, 2) if m == 1 else Fraction(1, m * (m + 1))
-    _, qs, _, qs1 = prefix_convergents(b, k)
-    return Fraction(1, (m * qs + qs1) * ((m + 1) * qs + qs1))
+    return _measure(prefix_convergents(b, k)[0], m)
 
 
 def measure_Iprime(b: int, k: int, m: int) -> Fraction:
     """Closed-form Lebesgue measure of I'(b/k, m)."""
-    if k == 1:
-        return Fraction(1, 6) if m == 1 else Fraction(1, (m + 1) * (m + 2))
-    _, qs, _, qs1 = prefix_convergents(b, k)
-    return Fraction(1, ((m + 1) * qs - qs1) * ((m + 2) * qs - qs1))
+    return _measure(prefix_convergents(b, k)[1], m)
 
 
 def interval_left(b: int, k: int, m: int) -> IntervalQ:
@@ -142,44 +142,22 @@ def interval_left(b: int, k: int, m: int) -> IntervalQ:
 def weight_hits(b: int, k: int, x) -> list[int]:
     """Digit values m with x in I(b/k, m) or I'(b/k, m), with multiplicity.
 
-    Candidate m values are recovered by inverting the endpoint formulas,
-    then confirmed by exact interval membership; the cost is independent
-    of the window size.
+    Candidate m values are recovered by inverting the endpoint formula
+    x = (t P + P') / (t Q + Q') for t, then confirmed by exact interval
+    membership; the cost is independent of the window size.
     """
     _check_prefix(b, k, 1)
     x = Fraction(x)
     hits: list[int] = []
-    if k == 1:
-        if x > Fraction(1, 2):
-            # I(1, m) is only inhabited at m = 1 on this side.
-            for m in (1,):
-                if interval_I(1, 1, m).contains(x):
-                    hits.append(m)
-            approx = (1 - x) and x / (1 - x)
-            base = math.floor(approx) if x < 1 else 0
-            for m in {max(1, base - 1), max(1, base), base + 1, 1}:
-                if m >= 1 and interval_Iprime(1, 1, m).contains(x):
-                    hits.append(m)
-        elif x > 0:
-            base = math.floor(1 / x)
-            for m in sorted({max(1, base - 1), base, base + 1}):
-                if interval_I(1, 1, m).contains(x):
-                    hits.append(m)
-        return hits
-    ps, qs, ps1, qs1 = prefix_convergents(b, k)
-    denom = x * qs - ps
-    if denom == 0:
-        return hits
-    t = (ps1 - x * qs1) / denom
-    base = math.floor(t)
-    for m in sorted({max(1, base - 1), max(1, base), max(1, base + 1)}):
-        if interval_I(b, k, m).contains(x):
-            hits.append(m)
-    u = (x * qs1 - ps1) / denom  # equals m + 1 on I'(b/k, m) endpoints
-    base = math.floor(u) - 1
-    for m in sorted({max(1, base - 1), max(1, base), max(1, base + 1)}):
-        if interval_Iprime(b, k, m).contains(x):
-            hits.append(m)
+    for pair in prefix_convergents(b, k):
+        P, Q, P1, Q1 = pair
+        denom = x * Q - P
+        if denom == 0:
+            continue
+        base = math.floor((P1 - x * Q1) / denom)
+        for m in range(max(1, base - 1), max(1, base) + 2):
+            if _interval(pair, m).contains(x):
+                hits.append(m)
     return hits
 
 
@@ -191,41 +169,16 @@ def _hits_at_fraction(b: int, k: int, a: int, N: int) -> tuple[int, ...]:
     of a q - N p, so no Fraction objects are built on this path.
     """
     hits = []
-    if k == 1:
-        if 2 * a > N:
-            hits.append(1)  # I(1, 1) = (1/2, 1)
-            base = a // (N - a)
-            for m in range(max(1, base - 1), base + 2):
-                if m == 1:
-                    # I'(1, 1) = (1/2, 2/3)
-                    if 2 * a > N and 3 * a < 2 * N:
-                        hits.append(1)
-                elif m * N <= a * (m + 1) and a * (m + 2) < (m + 1) * N:
-                    hits.append(m)  # I'(1, m) = [m/(m+1), (m+1)/(m+2))
-        else:
-            base = N // a
-            for m in range(max(2, base - 1), base + 2):
-                # I(1, m) = (1/(m+1), 1/m]
-                if a * (m + 1) > N and a * m <= N:
-                    hits.append(m)
-        return tuple(hits)
-    ps, qs, ps1, qs1 = prefix_convergents(b, k)
-    denom = a * qs - N * ps
-    if denom == 0:
-        return ()
-    t_num = N * ps1 - a * qs1
-    base = t_num // denom
-    for m in range(max(1, base - 1), max(1, base) + 2):
-        c1 = a * (m * qs + qs1) - N * (m * ps + ps1)
-        c2 = a * ((m + 1) * qs + qs1) - N * ((m + 1) * ps + ps1)
-        if (c1 > 0 > c2) or (c1 < 0 < c2) or (c1 == 0 and m > 1):
-            hits.append(m)
-    base = (-t_num) // denom - 1
-    for m in range(max(1, base - 1), max(1, base) + 2):
-        c1 = a * ((m + 1) * qs - qs1) - N * ((m + 1) * ps - ps1)
-        c2 = a * ((m + 2) * qs - qs1) - N * ((m + 2) * ps - ps1)
-        if (c1 > 0 > c2) or (c1 < 0 < c2) or (c1 == 0 and m > 1):
-            hits.append(m)
+    for P, Q, P1, Q1 in prefix_convergents(b, k):
+        denom = a * Q - N * P
+        if denom == 0:
+            continue
+        base = (N * P1 - a * Q1) // denom
+        for m in range(max(1, base - 1), max(1, base) + 2):
+            c1 = a * (m * Q + Q1) - N * (m * P + P1)
+            c2 = a * ((m + 1) * Q + Q1) - N * ((m + 1) * P + P1)
+            if (c1 > 0 > c2) or (c1 < 0 < c2) or (c1 == 0 and m > 1):
+                hits.append(m)
     return tuple(hits)
 
 

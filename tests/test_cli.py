@@ -144,3 +144,24 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     assert code == 3
     assert out == ""
     assert "m_max" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["scan", "--range", "5", "3"], 2, "LO <= HI"),
+    (["search", "--range", "9", "3"], 2, "LO <= HI"),
+    (["search", "--zaremba", "5", "--range", "9", "3"], 2, "LO <= HI"),
+    (["search", "--zaremba", "0", "--range", "2", "5"], 3, "K >= 1"),
+    (["scan", "101", "--t", "x"], 2, "--t"),
+    (["discrepancy", "100", "--lo", "abc"], 2, "--lo"),
+    (["discrepancy", "100", "--hi", "1/0"], 2, "--hi"),
+    (["scan", "101", "--stat", "L"], 2, "--b and --c"),
+])
+def test_bad_input_exit_codes(capsys, argv, code, message):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr()
+    assert got == code
+    assert out.out == ""
+    assert message in out.err

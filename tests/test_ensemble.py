@@ -190,6 +190,25 @@ def test_partition_ranges_and_processes():
     assert _partition(2, 8, cpus=2) == ([(1, 2)], 1)
 
 
+def test_serial_fallback_without_fork(monkeypatch):
+    import multiprocessing
+    import os
+
+    def no_pool(*args):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for spec in (StatSpec("S"), StatSpec("D")):
+        assert scan(50, spec, thresholds=[1.0], workers=2) == \
+            scan(50, spec, thresholds=[1.0], workers=1)
+    assert digit_histogram(50, 5, workers=2) == digit_histogram(50, 5, workers=1)
+
+
 def test_dedekind_histogram_keys_are_exact():
     from cfq.dedekind import dedekind_bh
     N = 101

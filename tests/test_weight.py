@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfq.core import ReducedFraction, WeightFn, Window
+from cfq.core import ReducedFraction, WeightFn, Window, cf_digits, evaluate_digits
 from cfq.errors import BadDigit, InvalidWindow, NotCoprime
 from cfq.weight import (IntervalQ, _hits_at_fraction, bijection_identity_check,
                         counting_identity_check, integral_row, interval_I,
@@ -45,6 +45,25 @@ def test_interval_k1_specials():
     assert measure_I(1, 1, 1) == Fraction(1, 2)
     assert measure_Iprime(1, 1, 1) == Fraction(1, 6)
     assert measure_I(1, 1, 4) == Fraction(1, 20)
+
+
+def test_intervals_match_digit_definition():
+    # Both families straight from the module docstring: the endpoints are
+    # the prefix continued by m (included iff m > 1) and by m + 1 (excluded).
+    for k in range(1, 31):
+        for b in range(1, k + 1):
+            if math.gcd(b, k) != 1 or (b == k and k > 1):
+                continue
+            d = cf_digits(b, k) if k > 1 else []
+            prime = d[:-1] + [d[-1] - 1, 1] if k > 1 else [1]
+            for interval, prefix in ((interval_I, d), (interval_Iprime, prime)):
+                for m in range(1, 9):
+                    iv = interval(b, k, m)
+                    e1 = Fraction(*evaluate_digits(prefix + [m]))
+                    e2 = Fraction(*evaluate_digits(prefix + [m + 1]))
+                    assert {iv.lo, iv.hi} == {e1, e2}
+                    assert iv.contains(e1) == (m > 1)
+                    assert not iv.contains(e2)
 
 
 def test_interval_validation():
