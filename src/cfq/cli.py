@@ -9,8 +9,8 @@ strings, floats as shortest round-trip decimals.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +19,7 @@ from typing import NoReturn
 from .core import ReducedFraction, WeightFn, Window, expand, stat_alt, stat_max, stat_sum
 from .dedekind import dedekind_bh
 from .discrepancy import reduced_fraction_discrepancy
-from .ensemble import (StatSpec, TheoremConstants, constants, digit_histogram,
+from .ensemble import (HISTOGRAM_LIMIT, StatSpec, constants, digit_histogram,
                        scan)
 from .errors import CfqError, LimitExceeded
 from .farey import bd_tail, hensley_tail, vardi_sample
@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="digit histogram vs the Gauss-Kuzmin law; CSV "
                             "columns m, freq, target, diff")
     p.add_argument("N", type=int)
-    p.add_argument("--max-digit", type=int, default=5)
+    p.add_argument("--max-digit", type=int, default=5,
+                   help=f"largest digit reported, at most {HISTOGRAM_LIMIT}")
     p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=cmd_gk)
 
@@ -305,11 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # -o FILE is written only after the command succeeds, so a rejected
+    # command leaves an existing FILE as it was.
+    out = io.StringIO() if args.output else sys.stdout
     try:
-        if args.output:
-            with open(args.output, "w") as out:
-                return args.func(args, out)
-        return args.func(args, sys.stdout)
+        code = args.func(args, out)
+        if args.output and code == 0:
+            with open(args.output, "w") as f:
+                f.write(out.getvalue())
+        return code
     except LimitExceeded as exc:
         print(f"cfq: {exc}", file=sys.stderr)
         return 4

@@ -2,7 +2,9 @@
 
 Every fraction a/N handled here is reduced, with 1 <= a <= N-1 and N >= 2.
 Expansions use the canonical form [0; a_1, ..., a_r] with a_r >= 2 (for
-r >= 2; a single digit equals N and is always >= 2).
+r >= 2; a single digit equals N and is always >= 2).  cf_digits is the
+full Euclid walk; every statistic of the whole expansion is a fold of its
+digit list (sum, max, count_in, alt_sum, windowed_sum).
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ class ReducedFraction:
 def cf_digits(a: int, N: int) -> list[int]:
     """Canonical partial quotients of a/N (assumes 0 < a < N, gcd = 1)."""
     digits = []
-    num, den = a, N
-    while num:
-        q, r = divmod(den, num)
-        digits.append(q)
-        den, num = num, r
+    while a:
+        digits.append(N // a)
+        N, a = a, N % a
     return digits
 
 
@@ -211,6 +211,30 @@ class WeightFn:
         return f"WeightFn({self.kind!r})"
 
 
+def count_in(digits: Sequence[int], b: int, c: int) -> int:
+    """Number of digits in [b, c]."""
+    count = 0
+    for d in digits:
+        if b <= d <= c:
+            count += 1
+    return count
+
+
+def alt_sum(digits: Sequence[int]) -> int:
+    """sum_i (-1)^i a_i over the digits a_1, a_2, ..."""
+    return sum(digits[1::2]) - sum(digits[::2])
+
+
+def windowed_sum(digits: Sequence[int], f: WeightFn, eta: int,
+                 theta: Optional[int]) -> Rational:
+    """Sum of f(d) over the digits d with eta <= d <= theta (None: no cap)."""
+    total: Rational = 0
+    for d in digits:
+        if d >= eta and (theta is None or d <= theta):
+            total += f(d)
+    return total
+
+
 def stat_sum(cf: ContinuedFraction) -> int:
     """S = sum of all partial quotients."""
     return sum(cf.digits)
@@ -225,34 +249,22 @@ def stat_count(cf: ContinuedFraction, b: int, c: int) -> int:
     """L_[b,c] = number of partial quotients in [b, c]."""
     if b < 1 or b > c:
         raise InvalidWindow(f"need 1 <= b <= c, got ({b}, {c})")
-    return sum(1 for d in cf.digits if b <= d <= c)
+    return count_in(cf.digits, b, c)
 
 
 def stat_alt(cf: ContinuedFraction) -> int:
     """Alternating sum of partial quotients, sum_i (-1)^i a_i."""
-    total = 0
-    for i, d in enumerate(cf.digits, start=1):
-        total += -d if i % 2 else d
-    return total
+    return alt_sum(cf.digits)
 
 
 def restricted_sum(cf: ContinuedFraction, f: WeightFn, w: Window) -> Rational:
     """Sum of f(a_i) over digits with eta <= a_i <= theta."""
     f.validate_on(w, max_digit=cf.N)
-    total: Rational = 0
-    for d in cf.digits:
-        if w.contains(d):
-            total += f(d)
-    return total
+    return windowed_sum(cf.digits, f, w.eta, w.theta)
 
 
 def even_odd_sums(cf: ContinuedFraction, w: Window) -> tuple[int, int]:
     """(S_e, S_o): windowed digit sums over even resp. odd indices (1-based)."""
-    s_even = s_odd = 0
-    for i, d in enumerate(cf.digits, start=1):
-        if w.contains(d):
-            if i % 2:
-                s_odd += d
-            else:
-                s_even += d
-    return s_even, s_odd
+    ident = WeightFn.identity()
+    return (windowed_sum(cf.digits[1::2], ident, w.eta, w.theta),
+            windowed_sum(cf.digits[::2], ident, w.eta, w.theta))

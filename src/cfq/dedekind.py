@@ -51,11 +51,11 @@ def dedekind_scaled(a: int, N: int) -> int:
     sign = 1  # (-1)^i
     s_alt = 0
     while num:
-        d, rem = divmod(den, num)
+        d = den // num
         q0, q1 = q1, d * q1 + q0
         sign = -sign
         s_alt += sign * d
-        den, num = num, rem
+        den, num = num, den % num
     if q1 != N:
         raise InvariantError(f"{a}/{N} is not reduced: its walk ends at {q1}")
     return 3 * N * (sign - 1) + 2 * (a - sign * q0) - 2 * N * s_alt

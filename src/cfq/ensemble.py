@@ -13,18 +13,23 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .core import (MAX_DENOMINATOR, ReducedFraction, Rational, WeightFn,
-                   Window, cf_digits)
+                   Window, alt_sum, cf_digits, count_in, windowed_sum)
 from .errors import InvalidSpec, InvariantError, InvalidWindow, LimitExceeded
 from .dedekind import dedekind_scaled
 
 PI2 = math.pi ** 2
 
 STAT_KINDS = ("S", "M", "L", "S_alt", "D", "restricted")
+
+#: Largest m_max of digit_histogram: each worker allocates m_max + 1
+#: counters, and the result holds five m_max-entry tables.
+HISTOGRAM_LIMIT = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -154,35 +159,22 @@ def _map_ranges(range_fn, N: int, workers: int, *args) -> list:
     return [range_fn(job) for job in jobs]
 
 
-def _stat_value_scaled(spec: StatSpec, a: int, N: int):
-    """Raw statistic value at the selector's integer scale."""
-    kind = spec.kind
-    if kind == "D":
-        return dedekind_scaled(a, N)
-    digits = cf_digits(a, N)
-    if kind == "S":
-        return sum(digits)
-    if kind == "M":
-        return max(digits)
-    if kind == "L":
-        b, c = spec.b, spec.c
-        return sum(1 for d in digits if b <= d <= c)
-    if kind == "S_alt":
-        total = 0
-        for i, d in enumerate(digits, start=1):
-            total += -d if i % 2 else d
-        return total
-    f, eta, theta = spec.f, spec.eta, spec.theta
-    total = 0
-    for d in digits:
-        if d >= eta and (theta is None or d <= theta):
-            total += f(d)
-    return total
+def _value_fn(spec: StatSpec, N: int):
+    """a -> the raw value of spec at a/N: a digit fold of cf_digits(a, N),
+    or 24 N D(a/N).  Built in the worker, since a lambda does not pickle."""
+    if spec.kind == "D":
+        return partial(dedekind_scaled, N=N)
+    fold, params = {"S": (sum, ()), "M": (max, ()), "S_alt": (alt_sum, ()),
+                    "L": (count_in, (spec.b, spec.c)),
+                    "restricted": (windowed_sum,
+                                   (spec.f, spec.eta, spec.theta))}[spec.kind]
+    return lambda a: fold(cf_digits(a, N), *params)
 
 
 def _scan_range(args):
     (N, lo, hi, spec, thresholds, with_histogram, center, absolute,
      scale) = args
+    value = _value_fn(spec, N)
     logN = math.log(N)
     cuts = [t * logN for t in thresholds]
     tails = [0] * len(thresholds)
@@ -193,15 +185,14 @@ def _scan_range(args):
     for a in range(lo, hi):
         if math.gcd(a, N) != 1:
             continue
-        raw = _stat_value_scaled(spec, a, N)
+        raw = value(a)
         count += 1
         total += raw
         total_sq += raw * raw
         if hist is not None:
             hist[raw] = hist.get(raw, 0) + 1
         if cuts:
-            y = raw / scale if scale != 1 else raw
-            z = float(y) - center
+            z = raw / scale - center
             if absolute:
                 z = abs(z)
             for j, cut in enumerate(cuts):
@@ -252,15 +243,13 @@ def _digit_range(args):
     for a in range(lo, hi):
         if math.gcd(a, N) != 1:
             continue
-        num, den = a, N
-        while num:
-            q, r = divmod(den, num)
+        digits = cf_digits(a, N)
+        for q in digits:
             if q <= m_max:
                 counts[q] += 1
             else:
                 overflow += 1
-            den, num = num, r
-        # q is now the final digit a_r
+        q = digits[-1]
         if q <= m_max:
             last[q] += 1
     return counts, overflow, last
@@ -284,6 +273,7 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
     of digits above m_max; last_counts, the count of a_r = m; and
     interior_freq, the normalized frequency of a_1, ..., a_{r-1} alone
     (the same under either end convention), with the same norm as freq.
+    m_max above HISTOGRAM_LIMIT raises LimitExceeded.
     """
     if N < 3:
         raise InvalidSpec(f"need N >= 3, got {N}")
@@ -291,6 +281,8 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
         raise LimitExceeded(f"denominator {N} >= 2^62")
     if m_max < 1:
         raise InvalidSpec(f"need m_max >= 1, got {m_max}")
+    if m_max > HISTOGRAM_LIMIT:
+        raise LimitExceeded(f"m_max {m_max} > {HISTOGRAM_LIMIT}")
     parts = _map_ranges(_digit_range, N, workers, m_max)
     counts = {m: sum(p[0][m] for p in parts) for m in range(1, m_max + 1)}
     last = {m: sum(p[2][m] for p in parts) for m in counts}

@@ -2,7 +2,8 @@
 
 Small values of S(a/N) or M(a/N) mark good lattice points.  Both minima
 are found by full enumeration of Z_N* so the records are exact; ties go
-to the smallest numerator.
+to the smallest numerator.  The M search and the Zaremba scan share one
+pruned Euclid walk that stops at the first digit reaching a bound.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import cf_digits
 from .errors import BadRange, InvariantError, LimitExceeded
 
 #: Full enumeration only; beyond this denominator the scans refuse to run.
@@ -32,6 +34,19 @@ def _check_N(N: int) -> None:
         raise LimitExceeded(f"search capped at N = {SEARCH_LIMIT}")
 
 
+def _max_digit_below(a: int, N: int, bound: int) -> int | None:
+    """Largest partial quotient of a/N, or None at the first one >= bound."""
+    m = 0
+    while a:
+        q = N // a
+        if q >= bound:
+            return None
+        if q > m:
+            m = q
+        N, a = a, N % a
+    return m
+
+
 def min_sum(N: int) -> ExtremalRecord:
     """Minimum of S(a/N) over Z_N*, with the heuristic main-term bound.
 
@@ -40,18 +55,12 @@ def min_sum(N: int) -> ExtremalRecord:
     an unspecified constant.
     """
     _check_N(N)
-    best = None
-    best_a = None
+    best, best_a = N + 1, None  # S(a/N) <= q_r = N
     for a in range(1, N):
-        if math.gcd(a, N) != 1:
-            continue
-        num, den, s = a, N, 0
-        while num:
-            q, r = divmod(den, num)
-            s += q
-            den, num = num, r
-        if best is None or s < best:
-            best, best_a = s, a
+        if math.gcd(a, N) == 1:
+            s = sum(cf_digits(a, N))
+            if s < best:
+                best, best_a = s, a
     bound = (12 / math.pi ** 2) * math.log(N) * math.log(math.log(N)) \
         if N >= 3 else float("inf")
     return ExtremalRecord(N=N, argmin_a=best_a, min_value=best,
@@ -61,19 +70,12 @@ def min_sum(N: int) -> ExtremalRecord:
 def min_max_quotient(N: int) -> ExtremalRecord:
     """Minimum of M(a/N) over Z_N*; always at most 3 ln N."""
     _check_N(N)
-    best = None
-    best_a = None
+    best, best_a = N + 1, None  # every digit of a/N is at most N
     for a in range(1, N):
-        if math.gcd(a, N) != 1:
-            continue
-        num, den, m = a, N, 0
-        while num:
-            q, r = divmod(den, num)
-            if q > m:
-                m = q
-            den, num = num, r
-        if best is None or m < best:
-            best, best_a = m, a
+        if math.gcd(a, N) == 1:
+            m = _max_digit_below(a, N, best)
+            if m is not None:
+                best, best_a = m, a
     bound = 3 * math.log(N)
     if best > bound:
         raise InvariantError(f"min M over Z_{N}* is {best} > 3 ln N = {bound}")
@@ -96,21 +98,10 @@ def zaremba_scan(N_lo: int, N_hi: int, K: int) -> list[int]:
         raise LimitExceeded(f"search capped at N = {SEARCH_LIMIT}")
     bad = []
     for N in range(N_lo, N_hi + 1):
-        found = False
         for a in range(1, N):
-            if math.gcd(a, N) != 1:
-                continue
-            num, den = a, N
-            ok = True
-            while num:
-                q, r = divmod(den, num)
-                if q > K:
-                    ok = False
-                    break
-                den, num = num, r
-            if ok:
-                found = True
+            if (math.gcd(a, N) == 1
+                    and _max_digit_below(a, N, K + 1) is not None):
                 break
-        if not found:
+        else:
             bad.append(N)
     return bad

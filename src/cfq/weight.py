@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .core import ReducedFraction, Rational, WeightFn, Window, cf_digits, convergents_of
+from .core import (ReducedFraction, Rational, WeightFn, Window, cf_digits,
+                   convergents_of, windowed_sum)
 from .errors import BadDigit, InvalidWindow, NotCoprime
 
 
@@ -184,11 +185,7 @@ def _hits_at_fraction(b: int, k: int, a: int, N: int) -> tuple[int, ...]:
 
 def weight_eval(b: int, k: int, x, f: WeightFn, w: Window) -> Rational:
     """w_{f,eta,theta}(b/k, x): weighted indicator sum over both families."""
-    total: Rational = 0
-    for m in weight_hits(b, k, x):
-        if w.contains(m):
-            total += f(m)
-    return total
+    return windowed_sum(weight_hits(b, k, x), f, w.eta, w.theta)
 
 
 def _candidate_numerators(a: int, N: int, k: int) -> Iterable[int]:
@@ -222,10 +219,9 @@ def counting_identity_check(frac: ReducedFraction, A: Iterable[int],
     conv = convergents_of(digits)
     f.validate_on(w, max_digit=frac.N)
     moduli = set(A)
-    lhs: Rational = 0
-    for i, d in enumerate(digits, start=1):
-        if conv[i - 1][1] in moduli and w.contains(d):
-            lhs += f(d)
+    # digit a_i pairs with (p_{i-1}, q_{i-1})
+    lhs = windowed_sum([d for d, (_, q) in zip(digits, conv) if q in moduli],
+                       f, w.eta, w.theta)
     rhs: Rational = 0
     for k in moduli:
         rhs += weight_row_at(frac.a, frac.N, k, f, w)

@@ -155,6 +155,7 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     (["discrepancy", "100", "--lo", "abc"], 2, "--lo"),
     (["discrepancy", "100", "--hi", "1/0"], 2, "--hi"),
     (["scan", "101", "--stat", "L"], 2, "--b and --c"),
+    (["gk", "101", "--max-digit", str(10 ** 15)], 4, "m_max"),
 ])
 def test_bad_input_exit_codes(capsys, argv, code, message):
     try:
@@ -165,3 +166,18 @@ def test_bad_input_exit_codes(capsys, argv, code, message):
     assert got == code
     assert out.out == ""
     assert message in out.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scan", "--range", "5", "3"], 2),
+    (["expand", "10", "4"], 3),
+])
+def test_output_file_survives_rejected_command(tmp_path, capsys, argv, code):
+    path = tmp_path / "out.txt"
+    path.write_text("earlier\n")
+    try:
+        got = main(["-o", str(path)] + argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert path.read_text() == "earlier\n"

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cfq.core import ReducedFraction, WeightFn, Window, cf_digits
+from cfq.core import (ReducedFraction, WeightFn, Window, cf_digits, expand,
+                      restricted_sum, stat_alt, stat_count, stat_max, stat_sum)
 from cfq.ensemble import (StatSpec, constants, digit_histogram,
                           enumerate_coprime, euler_phi, mu_window,
                           panov_mean_report, scan, thm_harness)
@@ -220,3 +222,22 @@ def test_dedekind_histogram_keys_are_exact():
         Fraction(s.sum_scaled, s.scale)
     assert all(type(k) is int for k in scan(N, StatSpec("S"),
                                             with_histogram=True).histogram)
+
+
+def test_scan_histograms_match_core_statistics():
+    cases = [
+        (StatSpec("S"), stat_sum),
+        (StatSpec("M"), stat_max),
+        (StatSpec("L", b=1, c=2), lambda cf: stat_count(cf, 1, 2)),
+        (StatSpec("L", b=2, c=5), lambda cf: stat_count(cf, 2, 5)),
+        (StatSpec("S_alt"), stat_alt),
+        (StatSpec("restricted", f=WeightFn.identity(), eta=2),
+         lambda cf: restricted_sum(cf, WeightFn.identity(), Window(2))),
+        (StatSpec("restricted", f=WeightFn.square(), eta=1, theta=3),
+         lambda cf: restricted_sum(cf, WeightFn.square(), Window(1, 3))),
+    ]
+    for N in range(2, 151):
+        cfs = [expand(frac) for frac in enumerate_coprime(N)]
+        for spec, stat in cases:
+            hist = scan(N, spec, with_histogram=True).histogram
+            assert hist == Counter(stat(cf) for cf in cfs), (N, spec.label())

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cfq.core import cf_digits
 from cfq.errors import BadRange, LimitExceeded
 from cfq.search import min_max_quotient, min_sum, zaremba_scan
 
@@ -49,3 +50,17 @@ def test_validation():
         min_sum(10 ** 7 + 1)
     with pytest.raises(LimitExceeded):
         zaremba_scan(2, 10 ** 7 + 1, 5)
+
+
+def test_search_matches_full_expansion_brute_force():
+    for N in range(2, 401):
+        units = [a for a in range(1, N) if math.gcd(a, N) == 1]
+        for finder, fold in ((min_sum, sum), (min_max_quotient, max)):
+            r = finder(N)
+            expected = min((fold(cf_digits(a, N)), a) for a in units)
+            assert (r.min_value, r.argmin_a) == expected, (finder, N)
+    for K in range(1, 5):
+        brute = [N for N in range(2, 401)
+                 if all(max(cf_digits(a, N)) > K
+                        for a in range(1, N) if math.gcd(a, N) == 1)]
+        assert zaremba_scan(2, 400, K) == brute, K
