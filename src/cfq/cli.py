@@ -303,17 +303,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(path: str, reason: str) -> int:
+    print(f"cfq: cannot write {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.output:
+        parent = os.path.dirname(os.path.abspath(args.output))
+        if not os.path.isdir(parent):
+            return _cannot_write(args.output, f"no directory {parent}")
+        if not os.access(parent, os.W_OK):
+            return _cannot_write(args.output, f"directory {parent} is not "
+                                              "writable")
     # -o FILE is written only after the command succeeds, so a rejected
     # command leaves an existing FILE as it was.
     out = io.StringIO() if args.output else sys.stdout
     try:
         code = args.func(args, out)
         if args.output and code == 0:
-            with open(args.output, "w") as f:
-                f.write(out.getvalue())
+            try:
+                with open(args.output, "w") as f:
+                    f.write(out.getvalue())
+            except OSError as exc:
+                return _cannot_write(args.output, exc.strerror or str(exc))
         return code
     except LimitExceeded as exc:
         print(f"cfq: {exc}", file=sys.stderr)

@@ -1,21 +1,26 @@
 """Exact ensemble scans over Z_N* and theorem-level pass/fail harnesses.
 
-A scan walks every numerator coprime to N, computes one statistic per
-fraction with integer (or Fraction) arithmetic, and accumulates exact
-first and second moments plus tail counts against thresholds that scale
-with ln N.  Workers split [1, N-1] into contiguous ranges; the merge is
-plain addition of exact accumulators, so the result does not depend on
-the worker count.
+A scan visits Z_N* one symmetry orbit at a time.  The maps a -> N - a
+and a -> a^-1 mod N generate a group of order 4; the orbit of a <= N/2
+is {a, N - a, a*, N - a*} with a* = min(a^-1, N - a^-1) = q_{r-1}(a),
+whose digits are those of a reversed, while N - a has [1, a_1 - 1, a_2,
+..., a_r].  Only the member a <= a* is walked (about phi(N)/4 Euclid
+walks); the digits of a give every member's statistic, and the scan
+folds them as (value, multiplicity) pairs into exact first and second
+moments plus tail counts against thresholds that scale with ln N.  A
+palindrome (a* = a) has two members, and N = 2 the one member 1.
+Workers split the representative range [1, N/2] into contiguous ranges;
+the merge is plain addition of exact accumulators, so the result does
+not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache
 from typing import Optional
 
 from .core import (MAX_DENOMINATOR, ReducedFraction, Rational, WeightFn,
@@ -27,9 +32,13 @@ PI2 = math.pi ** 2
 
 STAT_KINDS = ("S", "M", "L", "S_alt", "D", "restricted")
 
-#: Largest m_max of digit_histogram: each worker allocates m_max + 1
+#: Largest m_max of digit_histogram: each worker allocates m_max + 2
 #: counters, and the result holds five m_max-entry tables.
 HISTOGRAM_LIMIT = 10 ** 5
+
+#: Numerators per block of a scan range: each block marks partners in a
+#: table of this many bytes, so memory stays bounded whatever N is.
+MARK_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -145,36 +154,106 @@ def _partition(N: int, workers: int, cpus: int) -> tuple[list, int]:
 
 
 def _map_ranges(range_fn, N: int, workers: int, *args) -> list:
-    """range_fn((N, lo, hi, *args)) for each range of _partition, in order.
+    """range_fn((N, lo, hi, *args)) for each range of _partition over the
+    orbit representatives [1, N/2], in order.
 
     The ranges run serially where the platform cannot fork.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    ranges, processes = _partition(N, workers, cpus)
+    ranges, processes = _partition(N // 2 + 1, workers, cpus)
     jobs = [(N, lo, hi) + args for lo, hi in ranges]
-    if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with multiprocessing.get_context("fork").Pool(processes) as pool:
-            return pool.map(range_fn, jobs)
+    if processes > 1:
+        import multiprocessing  # only a forking run pays for the import
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(processes) as pool:
+                return pool.map(range_fn, jobs)
     return [range_fn(job) for job in jobs]
 
 
-def _value_fn(spec: StatSpec, N: int):
-    """a -> the raw value of spec at a/N: a digit fold of cf_digits(a, N),
-    or 24 N D(a/N).  Built in the worker, since a lambda does not pickle."""
+def _representatives(N: int, lo: int, hi: int):
+    """(a, a*) for each orbit representative a in [lo, hi): a coprime to N
+    with a <= a* = min(a^-1, N - a^-1).
+
+    Each block of MARK_BLOCK numerators marks the partners a* > a of its
+    representatives that fall inside it, which spares pow() for them.
+    """
+    for start in range(lo, hi, MARK_BLOCK):
+        end = min(start + MARK_BLOCK, hi)
+        seen = bytearray(end - start)
+        for a in range(start, end):
+            if seen[a - start] or math.gcd(a, N) != 1:
+                continue
+            inv = pow(a, -1, N)
+            star = min(inv, N - inv)
+            if a <= star:
+                if star < end:
+                    seen[star - start] = 1
+                yield a, star
+
+
+def _orbit_fn(spec: StatSpec, N: int):
+    """a -> (raw value, multiplicity) pairs of spec over the four members
+    a, N - a, a*, N - a* of the orbit of a < N/2, a's own value first.
+
+    The raw value is a digit fold of cf_digits(a, N), or 24 N D(a/N).
+    Built in the worker, since a closure does not pickle.
+    """
     if spec.kind == "D":
-        return partial(dedekind_scaled, N=N)
-    fold, params = {"S": (sum, ()), "M": (max, ()), "S_alt": (alt_sum, ()),
-                    "L": (count_in, (spec.b, spec.c)),
-                    "restricted": (windowed_sum,
-                                   (spec.f, spec.eta, spec.theta))}[spec.kind]
-    return lambda a: fold(cf_digits(a, N), *params)
+        # D(a^-1/N) = D(a/N) and D((N-a)/N) = -D(a/N)
+        def dedekind_pairs(a):
+            v = dedekind_scaled(a, N)
+            return (v, 2), (-v, 2)
+        return dedekind_pairs
+    if spec.kind == "S":
+        return lambda a: ((sum(cf_digits(a, N)), 4),)
+    if spec.kind == "M":
+        def max_pairs(a):
+            d = cf_digits(a, N)
+            m = max(d)
+            # N - a (N - a*) has m - 1 when a_1 (a_r) is the only maximum
+            k = 0 if d.count(m) > 1 else (d[0] == m) + (d[-1] == m)
+            return ((m, 4 - k), (m - 1, k)) if k else ((m, 4),)
+        return max_pairs
+    if spec.kind == "S_alt":
+        def alt_pairs(a):
+            d = cf_digits(a, N)
+            s = alt_sum(d)
+            if len(d) % 2:  # a* has the same S_alt
+                return (s, 2), (-s - 2, 2)
+            return (s, 1), (-s - 2, 1), (-s, 1), (s - 2, 1)
+        return alt_pairs
+    fold, params = ((count_in, (spec.b, spec.c)) if spec.kind == "L" else
+                    (windowed_sum, (spec.f, spec.eta, spec.theta)))
+
+    @cache
+    def delta(x):
+        """The change of an additive fold when x becomes 1, x - 1."""
+        return fold((1, x - 1), *params) - fold((x,), *params)
+
+    def additive_pairs(a):
+        d = cf_digits(a, N)
+        F = fold(d, *params)
+        first, last = delta(d[0]), delta(d[-1])
+        if first == last:
+            return ((F, 4),) if not first else ((F, 2), (F + first, 2))
+        return (F, 2), (F + first, 1), (F + last, 1)
+    return additive_pairs
+
+
+def _halved(pairs) -> list:
+    """The orbit pairs of a palindrome a = a*, whose four members a, N - a,
+    a*, N - a* list each of its two members twice."""
+    merged: dict = {}
+    for raw, mult in pairs:
+        merged[raw] = merged.get(raw, 0) + mult
+    return [(raw, mult // 2) for raw, mult in merged.items()]
 
 
 def _scan_range(args):
     (N, lo, hi, spec, thresholds, with_histogram, center, absolute,
      scale) = args
-    value = _value_fn(spec, N)
+    orbit = _orbit_fn(spec, N)
     logN = math.log(N)
     cuts = [t * logN for t in thresholds]
     tails = [0] * len(thresholds)
@@ -182,22 +261,24 @@ def _scan_range(args):
     count = 0
     total = 0
     total_sq = 0
-    for a in range(lo, hi):
-        if math.gcd(a, N) != 1:
-            continue
-        raw = value(a)
-        count += 1
-        total += raw
-        total_sq += raw * raw
-        if hist is not None:
-            hist[raw] = hist.get(raw, 0) + 1
-        if cuts:
-            z = raw / scale - center
-            if absolute:
-                z = abs(z)
-            for j, cut in enumerate(cuts):
-                if z >= cut:
-                    tails[j] += 1
+    for a, star in _representatives(N, lo, hi):
+        pairs = orbit(a)
+        if star == a:
+            # N = 2 has the one member a = N - a = 1
+            pairs = _halved(pairs) if 2 * a < N else ((pairs[0][0], 1),)
+        for raw, mult in pairs:
+            count += mult
+            total += raw * mult
+            total_sq += raw * raw * mult
+            if hist is not None:
+                hist[raw] = hist.get(raw, 0) + mult
+            if cuts:
+                z = raw / scale - center
+                if absolute:
+                    z = abs(z)
+                for j, cut in enumerate(cuts):
+                    if z >= cut:
+                        tails[j] += mult
     return count, total, total_sq, tails, hist
 
 
@@ -236,23 +317,31 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
 
 
 def _digit_range(args):
+    """(counts, last) over the orbits of the representatives in [lo, hi);
+    index m_max + 1 of counts holds the digits above m_max."""
     N, lo, hi, m_max = args
-    counts = [0] * (m_max + 1)
-    last = [0] * (m_max + 1)
-    overflow = 0
-    for a in range(lo, hi):
-        if math.gcd(a, N) != 1:
-            continue
-        digits = cf_digits(a, N)
-        for q in digits:
+    top = m_max + 1
+    counts = [0] * (top + 1)
+    last = [0] * top
+    for a, star in _representatives(N, lo, hi):
+        d = cf_digits(a, N)
+        # Every member carries the digits of a, except that N - a and
+        # N - a* swap a_1 and a_r for 1, a_1 - 1 and 1, a_r - 1.  A
+        # palindrome has no separate a*, N - a*.
+        ends = (d[0],) if star == a else (d[0], d[-1])
+        w = len(ends)
+        for q in d:
+            counts[q if q <= m_max else top] += 2 * w
+        counts[1] += w
+        for q in ends:
+            if q <= top:
+                counts[q] -= 1
+                counts[q - 1] += 1
+        # a and N - a end in a_r, a* and N - a* in a_1; N - 1 = [0; 1, N-1]
+        for q in (d[-1], d[0] if len(d) > 1 else d[0] - 1):
             if q <= m_max:
-                counts[q] += 1
-            else:
-                overflow += 1
-        q = digits[-1]
-        if q <= m_max:
-            last[q] += 1
-    return counts, overflow, last
+                last[q] += w
+    return counts, last
 
 
 def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
@@ -285,7 +374,7 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
         raise LimitExceeded(f"m_max {m_max} > {HISTOGRAM_LIMIT}")
     parts = _map_ranges(_digit_range, N, workers, m_max)
     counts = {m: sum(p[0][m] for p in parts) for m in range(1, m_max + 1)}
-    last = {m: sum(p[2][m] for p in parts) for m in counts}
+    last = {m: sum(p[1][m] for p in parts) for m in counts}
     phi = euler_phi(N)
     norm = PI2 / (12 * math.log(2) * math.log(N))
     freq = {m: norm * counts[m] / phi for m in counts}
@@ -293,7 +382,7 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
     target = {m: math.log2(1 + 1 / (m * (m + 2))) for m in counts}
     return {"N": N, "phi": phi, "counts": counts, "freq": freq,
             "target": target,
-            "overflow": sum(p[1] for p in parts),
+            "overflow": sum(p[0][m_max + 1] for p in parts),
             "last_counts": last, "interior_freq": interior}
 
 

@@ -181,3 +181,17 @@ def test_output_file_survives_rejected_command(tmp_path, capsys, argv, code):
         got = exc.code
     assert got == code
     assert path.read_text() == "earlier\n"
+
+
+def test_unwritable_output_path(tmp_path, capsys):
+    missing = tmp_path / "missing_dir" / "out.txt"
+    # checked before the command runs, so a failing command also exits 2
+    for argv in (["scan", "101"], ["expand", "10", "4"]):
+        code, out, err = run(capsys, "-o", str(missing), *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cfq: cannot write {missing}: ")
+    assert not missing.parent.exists()
+    # a directory as PATH passes the check and fails when written
+    code, out, err = run(capsys, "-o", str(tmp_path), "expand", "10", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cfq: cannot write {tmp_path}: ")

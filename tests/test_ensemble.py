@@ -10,6 +10,9 @@ from cfq.ensemble import (StatSpec, constants, digit_histogram,
                           enumerate_coprime, euler_phi, mu_window,
                           panov_mean_report, scan, thm_harness)
 from cfq.errors import InvalidSpec, LimitExceeded
+from cfq.core import alt_sum, count_in, windowed_sum
+from cfq.dedekind import dedekind_scaled
+from cfq.ensemble import PI2, _representatives
 from cfq.weight import weight_row_at
 
 
@@ -241,3 +244,144 @@ def test_scan_histograms_match_core_statistics():
         for spec, stat in cases:
             hist = scan(N, spec, with_histogram=True).histogram
             assert hist == Counter(stat(cf) for cf in cfs), (N, spec.label())
+
+
+def _reference_scan(N, spec, thresholds, center, absolute):
+    """The per-numerator scan: one walk and one fold for every a in Z_N*,
+    as (count, sum, sum of squares, tail counts, histogram)."""
+    scale = 24 * N if spec.kind == "D" else 1
+    if spec.kind == "D":
+        def value(a):
+            return dedekind_scaled(a, N)
+    else:
+        fold, params = {"S": (sum, ()), "M": (max, ()), "S_alt": (alt_sum, ()),
+                        "L": (count_in, (spec.b, spec.c)),
+                        "restricted": (windowed_sum,
+                                       (spec.f, spec.eta, spec.theta))}[spec.kind]
+
+        def value(a):
+            return fold(cf_digits(a, N), *params)
+    logN = math.log(N)
+    cuts = [t * logN for t in thresholds]
+    tails = [0] * len(thresholds)
+    hist = {}
+    count = total = total_sq = 0
+    for a in range(1, N):
+        if math.gcd(a, N) != 1:
+            continue
+        raw = value(a)
+        count += 1
+        total += raw
+        total_sq += raw * raw
+        hist[raw] = hist.get(raw, 0) + 1
+        z = raw / scale - center
+        if absolute:
+            z = abs(z)
+        for j, cut in enumerate(cuts):
+            if z >= cut:
+                tails[j] += 1
+    hist = {Fraction(raw, scale) if scale != 1 else raw: v
+            for raw, v in hist.items()}
+    return count, total, total_sq, dict(zip(thresholds, tails)), hist
+
+
+def _reference_digit_histogram(N, m_max):
+    """digit_histogram from one walk of every a in Z_N*."""
+    counts = [0] * (m_max + 1)
+    last = [0] * (m_max + 1)
+    overflow = 0
+    for a in range(1, N):
+        if math.gcd(a, N) != 1:
+            continue
+        digits = cf_digits(a, N)
+        for q in digits:
+            if q <= m_max:
+                counts[q] += 1
+            else:
+                overflow += 1
+        if digits[-1] <= m_max:
+            last[digits[-1]] += 1
+    counts = {m: counts[m] for m in range(1, m_max + 1)}
+    last = {m: last[m] for m in counts}
+    phi = euler_phi(N)
+    norm = PI2 / (12 * math.log(2) * math.log(N))
+    return {"N": N, "phi": phi, "counts": counts,
+            "freq": {m: norm * counts[m] / phi for m in counts},
+            "target": {m: math.log2(1 + 1 / (m * (m + 2))) for m in counts},
+            "overflow": overflow, "last_counts": last,
+            "interior_freq": {m: norm * (counts[m] - last[m]) / phi
+                              for m in counts}}
+
+
+def test_orbit_scan_matches_per_numerator_reference():
+    specs = [StatSpec("S"), StatSpec("M"), StatSpec("S_alt"), StatSpec("D"),
+             StatSpec("L", b=1, c=1), StatSpec("L", b=2, c=5),
+             StatSpec("L", b=1, c=3),
+             StatSpec("restricted", f=WeightFn.identity(), eta=2),
+             StatSpec("restricted", f=WeightFn.square(), eta=1, theta=3)]
+    thresholds = [0.05, 0.3, 1.0, 3.0]
+    cases = [(N, 1) for N in list(range(2, 601)) + [30030]] + \
+        [(N, 2) for N in (2, 3, 4, 1009, 30030)]
+    for N, workers in cases:
+        center, absolute = (1.5, True) if N % 2 else (-0.25, False)
+        for spec in specs:
+            s = scan(N, spec, thresholds=thresholds, workers=workers,
+                     with_histogram=True, center=center, absolute=absolute)
+            got = (s.count, s.sum_scaled, s.sumsq_scaled, s.tail_counts,
+                   s.histogram)
+            assert got == _reference_scan(N, spec, thresholds, center,
+                                          absolute), (N, workers, spec.label())
+        if N >= 3:
+            for m_max in (1, 3, N + 1):
+                assert digit_histogram(N, m_max, workers=workers) == \
+                    _reference_digit_histogram(N, m_max), (N, workers, m_max)
+
+
+def test_orbit_member_digits():
+    # a < N/2 with a* = min(a^-1, N - a^-1): a* has the reversed digits,
+    # N - a and N - a* swap the first digit d for 1, d - 1
+    for N in range(3, 300):
+        for a in range(1, (N + 1) // 2):
+            if math.gcd(a, N) != 1:
+                continue
+            d = cf_digits(a, N)
+            inv = pow(a, -1, N)
+            star = min(inv, N - inv)
+            assert cf_digits(star, N) == d[::-1], (N, a)
+            assert cf_digits(N - a, N) == [1, d[0] - 1] + d[1:], (N, a)
+            assert cf_digits(N - star, N) == [1, d[-1] - 1] + d[-2::-1], (N, a)
+    # r = 1: a = 1 is a palindrome, N - 1 = [0; 1, N - 1]
+    assert cf_digits(1, 7) == [7] and cf_digits(6, 7) == [1, 6]
+    # a palindrome has a^2 = +-1: 3^2 = -1 mod 10, 4^2 = 1 mod 15
+    assert cf_digits(3, 10) == [3, 3] and cf_digits(4, 15) == [3, 1, 3]
+
+
+def test_representatives_partition_units_into_orbits(monkeypatch):
+    for N in range(2, 300):
+        members = []
+        for a, star in _representatives(N, 1, N // 2 + 1):
+            orbit = {a, N - a, star, N - star}
+            assert len(orbit) == (1 if N == 2 else 2 if star == a else 4)
+            assert (star == a) == (a * a % N in (1, N - 1)), (N, a)
+            members += orbit
+        assert sorted(members) == [a for a in range(1, N)
+                                   if math.gcd(a, N) == 1], N
+        # a range sees a partner a* only inside itself
+        for cut in (2, N // 4 + 1, N // 3 + 1):
+            if 1 < cut <= N // 2:
+                assert list(_representatives(N, 1, cut)) + \
+                    list(_representatives(N, cut, N // 2 + 1)) == \
+                    list(_representatives(N, 1, N // 2 + 1)), (N, cut)
+    # marks a* only inside a block: blocks of 5 numerators change nothing
+    whole = {N: list(_representatives(N, 1, N // 2 + 1)) for N in (97, 1009)}
+    monkeypatch.setattr("cfq.ensemble.MARK_BLOCK", 5)
+    for N, reps in whole.items():
+        assert list(_representatives(N, 1, N // 2 + 1)) == reps
+        assert digit_histogram(N, 4) == _reference_digit_histogram(N, 4)
+    monkeypatch.undo()
+    # N = 2: {1}; N = 3, 4, 6: {1, N - 1}
+    for N in (2, 3, 4, 6):
+        assert list(_representatives(N, 1, N // 2 + 1)) == [(1, 1)]
+        assert scan(N, StatSpec("M"), with_histogram=True).histogram == \
+            Counter(max(cf_digits(a, N)) for a in range(1, N)
+                    if math.gcd(a, N) == 1)
