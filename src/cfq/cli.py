@@ -18,11 +18,11 @@ from typing import NoReturn
 
 from .core import ReducedFraction, WeightFn, Window, expand, stat_alt, stat_max, stat_sum
 from .dedekind import dedekind_bh
-from .discrepancy import reduced_fraction_discrepancy
+from .discrepancy import DISCREPANCY_LIMIT, reduced_fraction_discrepancy
 from .ensemble import (HISTOGRAM_LIMIT, StatSpec, constants, digit_histogram,
                        scan)
 from .errors import CfqError, LimitExceeded
-from .farey import bd_tail, hensley_tail, vardi_sample
+from .farey import FAREY_LIMIT, bd_tail, hensley_tail, vardi_sample
 from .search import min_max_quotient, min_sum, zaremba_scan
 from .weight import IntervalQ
 
@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discrepancy",
                        help="extreme discrepancy of {a/N} within a range")
-    p.add_argument("N", type=int)
+    p.add_argument("N", type=int, help=f"denominator, at most "
+                                       f"{DISCREPANCY_LIMIT}")
     p.add_argument("--lo", type=fraction, default="0",
                    help="range start, as p/q")
     p.add_argument("--hi", type=fraction, default="1",
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("farey", help="Farey-ensemble limit-law comparisons")
-    p.add_argument("Q", type=int)
+    p.add_argument("Q", type=int, help=f"Farey order, at most {FAREY_LIMIT}")
     p.add_argument("--law", default="hensley",
                    choices=["hensley", "vardi", "bd"])
     p.add_argument("--t", type=float, default=2.0)

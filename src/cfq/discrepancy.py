@@ -5,6 +5,12 @@ of the given range, with every combination of endpoint inclusion; since
 the point masses are atoms, closed degenerate intervals [v, v] are
 admissible and the supremum is always attained at intervals whose
 endpoints are point values or range endpoints.
+
+The sweeps run on plain integers.  The points and range endpoints are
+scaled by L, the lcm of their denominators, and each term is scored at
+scale M * L for M points.  Scaling by a positive constant keeps every
+comparison and tie, so value and witness are those of the same sweep in
+rationals, and the sweeps build a Fraction only for what they return.
 """
 
 from __future__ import annotations
@@ -15,8 +21,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Rational
-from .errors import BadRange, BadSpec, EmptySet
+from .errors import BadRange, BadSpec, EmptySet, LimitExceeded
 from .weight import IntervalQ
+
+#: Largest N for the point set {a/N : a in Z_N*}: its phi(N) < 10^6 points
+#: take about 270 MB and 5 s to build and sweep on one CPU.
+DISCREPANCY_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,7 +36,8 @@ class PointSet:
     points: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if any(x < 0 or x > 1 for x in self.points):
+        # 0 <= p/q <= 1 with q > 0, compared on the integers
+        if any(not 0 <= x.numerator <= x.denominator for x in self.points):
             raise BadRange("points must lie in [0, 1]")
 
     @classmethod
@@ -35,9 +46,16 @@ class PointSet:
 
     @classmethod
     def reduced_fractions(cls, N: int) -> "PointSet":
-        """The set {a/N : a in Z_N*} as points in (0, 1)."""
+        """The set {a/N : a in Z_N*} as points in (0, 1).
+
+        N above DISCREPANCY_LIMIT raises LimitExceeded before anything is
+        allocated.
+        """
         if N < 2:
             raise BadRange(f"need N >= 2, got {N}")
+        if N > DISCREPANCY_LIMIT:
+            raise LimitExceeded(f"reduced fractions capped at N = "
+                                f"{DISCREPANCY_LIMIT}")
         return cls(tuple(Fraction(a, N) for a in range(1, N)
                          if math.gcd(a, N) == 1))
 
@@ -51,14 +69,27 @@ class DiscrepancyReport:
     witness: IntervalQ
 
 
-def _count_le(points: Sequence[Fraction], x: Fraction) -> int:
-    import bisect
-    return bisect.bisect_right(points, x)
+def _scaled(values: Sequence[Rational]) -> tuple[int, list[int]]:
+    """(L, [x * L for x in values]) with L the lcm of their denominators."""
+    L = math.lcm(*{x.denominator for x in values})
+    return L, [x.numerator * (L // x.denominator) for x in values]
 
 
-def _count_lt(points: Sequence[Fraction], x: Fraction) -> int:
-    import bisect
-    return bisect.bisect_left(points, x)
+def _levels(V: Sequence[int], lo: int, hi: int):
+    """(v, #V < v, #V <= v) for lo, each distinct v in V with lo < v < hi,
+    and hi, in ascending order, from one pass over the sorted V."""
+    n, i = len(V), 0
+    while i < n and V[i] < lo:
+        i += 1
+    v = lo
+    while True:
+        lt = i
+        while i < n and V[i] == v:
+            i += 1
+        yield v, lt, i
+        if v == hi:
+            return
+        v = V[i] if i < n and V[i] < hi else hi
 
 
 def star_discrepancy(ps: PointSet) -> DiscrepancyReport:
@@ -66,19 +97,22 @@ def star_discrepancy(ps: PointSet) -> DiscrepancyReport:
     M = len(ps)
     if M == 0:
         raise EmptySet("star discrepancy needs at least one point")
-    best = Fraction(-1)
+    L, V = _scaled(ps.points)
+    V.sort()
+    best = -M * L
     witness = None
-    for i, x in enumerate(ps.points, start=1):
-        over = Fraction(i, M) - x
-        under = x - Fraction(i - 1, M)
+    for i, x in enumerate(V, start=1):
+        over = i * L - x * M
+        under = x * M - (i - 1) * L
         if over > best:
-            best = over
-            witness = IntervalQ(Fraction(0), x, True, True)
+            best, witness = over, (x, True)
         if under > best:
-            best = under
-            witness = (IntervalQ(Fraction(0), x, True, False) if x > 0
-                       else IntervalQ(Fraction(0), x, True, True))
-    return DiscrepancyReport(best, witness)
+            # [0, 0) is empty, so x = 0 takes [0, 0]
+            best, witness = under, (x, x == 0)
+    x, hi_closed = witness
+    return DiscrepancyReport(Fraction(best, M * L),
+                             IntervalQ(Fraction(0), Fraction(x, L), True,
+                                       hi_closed))
 
 
 def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
@@ -90,6 +124,10 @@ def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
     endpoint terms, so a prefix-max pass finds the best pair.  The deficit
     side is maximized by an open interval with endpoints among the point
     values and the range endpoints, split the same way.
+
+    Both sweeps score their terms at scale M * L (see the module
+    docstring).  The counts come from one pass over the sorted points, so
+    the cost is O(M log M), that of the sort.
     """
     M = len(ps)
     if M == 0:
@@ -98,40 +136,45 @@ def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
         raise BadRange(f"range {rng} not within [0, 1]")
     if rng.measure == 0:
         raise BadRange("range must have positive measure")
-    pts = ps.points
-    best = Fraction(-1)
+    L, (lo, hi, *V) = _scaled((rng.lo, rng.hi, *ps.points))
+    V.sort()
+    levels = list(_levels(V, lo, hi))
+    best = -M * L
     witness = None
 
-    inside = sorted({x for x in pts if rng.contains(x)})
-    if inside:
-        # excess: closed [v_i, v_j], i <= j
-        best_b = Fraction(-10)
-        best_lo = None
-        for v in inside:
-            b = v - Fraction(_count_lt(pts, v), M)
-            if b > best_b:
-                best_b, best_lo = b, v
-            a = Fraction(_count_le(pts, v), M) - v
-            if a + best_b > best:
-                best = a + best_b
-                witness = IntervalQ(best_lo, v, True, True)
+    # excess: closed [v_i, v_j], i <= j, over point values inside rng
+    best_b = -10 * M * L
+    best_lo = None
+    for v, lt, le in levels:
+        if lt == le or (v == lo and not rng.lo_closed) or (
+                v == hi and not rng.hi_closed):
+            continue
+        b = v * M - lt * L
+        if b > best_b:
+            best_b, best_lo = b, v
+        a = le * L - v * M
+        if a + best_b > best:
+            best = a + best_b
+            witness = (best_lo, v, True)
 
     # deficit: open (lo, hi)
-    cands = sorted(set(inside) | {rng.lo, rng.hi})
-    best_d = Fraction(-10)
+    best_d = -10 * M * L
     best_lo = None
-    for v in cands:
+    for v, lt, le in levels:
         # the open interval needs lo < hi, so score hi = v against the best
         # lo seen strictly earlier before admitting v as a lo candidate
         if best_lo is not None:
-            e = v - Fraction(_count_lt(pts, v), M)
+            e = v * M - lt * L
             if e + best_d > best:
                 best = e + best_d
-                witness = IntervalQ(best_lo, v, False, False)
-        d = Fraction(_count_le(pts, v), M) - v
+                witness = (best_lo, v, False)
+        d = le * L - v * M
         if d > best_d:
             best_d, best_lo = d, v
-    return DiscrepancyReport(best, witness)
+    w_lo, w_hi, closed = witness
+    return DiscrepancyReport(Fraction(best, M * L),
+                             IntervalQ(Fraction(w_lo, L), Fraction(w_hi, L),
+                                       closed, closed))
 
 
 def reduced_fraction_discrepancy(N: int, rng: IntervalQ) -> DiscrepancyReport:
@@ -179,21 +222,23 @@ class StepFn:
     def variation(self) -> Fraction:
         """Total variation on [0, 1], exact.
 
-        A step function with rational breakpoints only varies at those
-        breakpoints; evaluating at each breakpoint and at midpoints of the
-        gaps between consecutive breakpoints captures every jump.
+        A step function with rational breakpoints c_0 = 0 < ... < c_K = 1
+        (the piece endpoints, 0 and 1) is constant on each open gap between
+        them, so it is the sequence of values at c_0, on (c_0, c_1), at
+        c_1, ..., at c_K.  A piece adds its value to a run of that sequence,
+        so one difference array over the sequence holds every jump, and
+        the variation is the sum of their absolute values.  Breakpoints
+        and values are scaled to integers by the lcm of their denominators.
         """
-        crit = sorted({e for iv, _ in self.pieces for e in (iv.lo, iv.hi)}
-                      | {Fraction(0), Fraction(1)})
-        total = Fraction(0)
-        prev = self(crit[0])
-        for lo, hi in zip(crit, crit[1:]):
-            at_lo = self(lo)
-            between = self((lo + hi) / 2)
-            total += abs(at_lo - prev) + abs(between - at_lo)
-            prev = between
-        total += abs(self(crit[-1]) - prev)
-        return total
+        L, E = _scaled([e for iv, _ in self.pieces for e in (iv.lo, iv.hi)])
+        W, ws = _scaled([v for _, v in self.pieces])
+        # breakpoint j sits at position 2j, the gap after it at 2j + 1
+        at = {c: 2 * j for j, c in enumerate(sorted(set(E) | {0, L}))}
+        jumps = [0] * (len(at) * 2)
+        for (iv, _), w, lo, hi in zip(self.pieces, ws, E[::2], E[1::2]):
+            jumps[at[lo] + (not iv.lo_closed)] += w
+            jumps[at[hi] + iv.hi_closed] -= w
+        return Fraction(sum(map(abs, jumps[1:-1])), W)
 
 
 def koksma_check(g: StepFn, ps: PointSet) -> bool:

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 from .core import ReducedFraction, cf_digits
 from .dedekind import dedekind_scaled
-from .errors import BadRange
+from .errors import BadRange, LimitExceeded
 
 PI2 = math.pi ** 2
+#: Largest order Q of the limit-law comparisons: F_Q has about
+#: 3 Q^2 / pi^2 members (3 * 10^7 at the limit), each walked once.
+FAREY_LIMIT = 10 ** 4
 
 
 def enumerate_farey(Q: int):
@@ -35,9 +38,14 @@ def enumerate_farey(Q: int):
 
 
 def _members(Q: int):
-    """Members a/N of F_Q with N >= 3, the ones normalized by ln N."""
+    """Members a/N of F_Q with N >= 3, the ones normalized by ln N.
+
+    Q above FAREY_LIMIT raises LimitExceeded.
+    """
     if Q < 3:
         raise BadRange(f"need Q >= 3, got {Q}")
+    if Q > FAREY_LIMIT:
+        raise LimitExceeded(f"Farey order capped at Q = {FAREY_LIMIT}")
     return (frac for frac in enumerate_farey(Q) if frac.N >= 3)
 
 

@@ -141,33 +141,21 @@ def interval_left(b: int, k: int, m: int) -> IntervalQ:
 
 
 def weight_hits(b: int, k: int, x) -> list[int]:
-    """Digit values m with x in I(b/k, m) or I'(b/k, m), with multiplicity.
-
-    Candidate m values are recovered by inverting the endpoint formula
-    x = (t P + P') / (t Q + Q') for t, then confirmed by exact interval
-    membership; the cost is independent of the window size.
-    """
+    """Digit values m with x in I(b/k, m) or I'(b/k, m), with multiplicity."""
     _check_prefix(b, k, 1)
     x = Fraction(x)
-    hits: list[int] = []
-    for pair in prefix_convergents(b, k):
-        P, Q, P1, Q1 = pair
-        denom = x * Q - P
-        if denom == 0:
-            continue
-        base = math.floor((P1 - x * Q1) / denom)
-        for m in range(max(1, base - 1), max(1, base) + 2):
-            if _interval(pair, m).contains(x):
-                hits.append(m)
-    return hits
+    return list(_hits_at_fraction(b, k, x.numerator, x.denominator))
 
 
 @lru_cache(maxsize=262144)
 def _hits_at_fraction(b: int, k: int, a: int, N: int) -> tuple[int, ...]:
-    """weight_hits(b, k, a/N) in pure integer arithmetic.
+    """Digit values m with a/N in I(b/k, m) or I'(b/k, m), in integers.
 
-    Comparisons of a/N against interval endpoints p/q reduce to the sign
-    of a q - N p, so no Fraction objects are built on this path.
+    Candidate m values are recovered by inverting the endpoint formula
+    a/N = (t P + P') / (t Q + Q') for t, then confirmed by exact interval
+    membership; the cost is independent of the window size.  Comparisons
+    of a/N against interval endpoints p/q reduce to the sign of a q - N p,
+    so no Fraction objects are built and a/N need not be reduced.
     """
     hits = []
     for P, Q, P1, Q1 in prefix_convergents(b, k):

@@ -156,6 +156,8 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     (["discrepancy", "100", "--hi", "1/0"], 2, "--hi"),
     (["scan", "101", "--stat", "L"], 2, "--b and --c"),
     (["gk", "101", "--max-digit", str(10 ** 15)], 4, "m_max"),
+    (["discrepancy", str(10 ** 15)], 4, "N = 1000000"),
+    (["farey", str(10 ** 15)], 4, "Q = 10000"),
 ])
 def test_bad_input_exit_codes(capsys, argv, code, message):
     try:

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -151,3 +152,105 @@ def test_koksma_weight_pairs():
             for f in weights:
                 g = StepFn(weight_step_pieces(b, k, f, Window(1, 5)))
                 assert koksma_check(g, ps), (N, b, k)
+
+
+def _fraction_extreme(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
+    """The rational sweep that the integer sweep replaced, kept as oracle."""
+    M = len(ps)
+    pts = ps.points
+    best, witness = Fraction(-1), None
+    inside = sorted({x for x in pts if rng.contains(x)})
+    best_b, best_lo = Fraction(-10), None
+    for v in inside:
+        b = v - Fraction(bisect.bisect_left(pts, v), M)
+        if b > best_b:
+            best_b, best_lo = b, v
+        a = Fraction(bisect.bisect_right(pts, v), M) - v
+        if a + best_b > best:
+            best = a + best_b
+            witness = IntervalQ(best_lo, v, True, True)
+    best_d, best_lo = Fraction(-10), None
+    for v in sorted(set(inside) | {rng.lo, rng.hi}):
+        if best_lo is not None:
+            e = v - Fraction(bisect.bisect_left(pts, v), M)
+            if e + best_d > best:
+                best = e + best_d
+                witness = IntervalQ(best_lo, v, False, False)
+        d = Fraction(bisect.bisect_right(pts, v), M) - v
+        if d > best_d:
+            best_d, best_lo = d, v
+    return DiscrepancyReport(best, witness)
+
+
+def _fraction_star(ps: PointSet) -> DiscrepancyReport:
+    M = len(ps)
+    best, witness = Fraction(-1), None
+    for i, x in enumerate(ps.points, start=1):
+        over = Fraction(i, M) - x
+        under = x - Fraction(i - 1, M)
+        if over > best:
+            best, witness = over, IntervalQ(Fraction(0), x, True, True)
+        if under > best:
+            best = under
+            witness = (IntervalQ(Fraction(0), x, True, False) if x > 0
+                       else IntervalQ(Fraction(0), x, True, True))
+    return DiscrepancyReport(best, witness)
+
+
+def _midpoint_variation(g: StepFn) -> Fraction:
+    """Evaluate at every breakpoint and gap midpoint, O(P^2)."""
+    crit = sorted({e for iv, _ in g.pieces for e in (iv.lo, iv.hi)}
+                  | {Fraction(0), Fraction(1)})
+    total = Fraction(0)
+    prev = g(crit[0])
+    for lo, hi in zip(crit, crit[1:]):
+        at_lo, between = g(lo), g((lo + hi) / 2)
+        total += abs(at_lo - prev) + abs(between - at_lo)
+        prev = between
+    return total + abs(g(crit[-1]) - prev)
+
+
+def _same_report(got: DiscrepancyReport, want: DiscrepancyReport) -> bool:
+    return (got.value, str(got.witness)) == (want.value, str(want.witness))
+
+
+def _random_interval(rnd: random.Random, dens, degenerate=True) -> IntervalQ:
+    while True:
+        den = rnd.choice(dens)
+        lo, hi = sorted(Fraction(rnd.randint(0, den), den) for _ in range(2))
+        closed = rnd.random() < 0.5, rnd.random() < 0.5
+        if lo < hi or (degenerate and lo == hi and rnd.random() < 0.3):
+            return IntervalQ(lo, hi, *((True, True) if lo == hi else closed))
+
+
+def test_integer_sweep_matches_fraction_sweep():
+    rnd = random.Random(7)
+    dens = (1, 2, 3, 5, 6, 7, 12, 30, 97)
+    for trial in range(2000):
+        rng = UNIT if trial % 4 == 0 else _random_interval(rnd, dens, False)
+        M = rnd.randint(1, 30)
+        values = [Fraction(rnd.randint(0, den), den)
+                  for den in rnd.choices(dens, k=M)]
+        # duplicates, both ends of [0, 1] and both ends of the range
+        values += rnd.sample([values[0], Fraction(0), Fraction(1),
+                              rng.lo, rng.hi], rnd.randint(0, 3))
+        ps = PointSet.from_values(values)
+        assert _same_report(extreme_discrepancy(ps, rng),
+                            _fraction_extreme(ps, rng)), (values, rng)
+        assert _same_report(star_discrepancy(ps), _fraction_star(ps)), values
+    for N in range(2, 301):
+        ps = PointSet.reduced_fractions(N)
+        assert _same_report(reduced_fraction_discrepancy(N, UNIT),
+                            _fraction_extreme(ps, UNIT)), N
+        assert _same_report(star_discrepancy(ps), _fraction_star(ps)), N
+    third = IntervalQ(Fraction(1, 3), Fraction(2, 3), True, True)
+    for N in range(10 ** 4, 10 ** 4 + 6):
+        ps = PointSet.reduced_fractions(N)
+        for rng in (UNIT, third):
+            assert _same_report(reduced_fraction_discrepancy(N, rng),
+                                _fraction_extreme(ps, rng)), (N, rng)
+    for _ in range(500):
+        g = StepFn((_random_interval(rnd, dens),
+                    Fraction(rnd.randint(-6, 6), rnd.choice((1, 2, 3))))
+                   for _ in range(rnd.randint(0, 8)))
+        assert g.variation() == _midpoint_variation(g), g.pieces

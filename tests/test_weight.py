@@ -115,6 +115,21 @@ def test_hits_against_brute():
         assert sorted(weight_hits(b, k, x)) == brute_hits(b, k, x, 300)
 
 
+def test_integer_hits_against_brute_unreduced():
+    # a/N is taken as given, reduced or not
+    random.seed(13)
+    for _ in range(400):
+        k = random.randint(1, 10)
+        bs = [b for b in range(1, k + 1)
+              if math.gcd(b, k) == 1 and (b < k or k == 1)]
+        b = random.choice(bs)
+        den = random.randint(2, 60)
+        num = random.randint(1, den - 1)
+        g = random.randint(1, 4)
+        assert sorted(_hits_at_fraction(b, k, g * num, g * den)) == \
+            brute_hits(b, k, Fraction(num, den), 300), (b, k, num, den, g)
+
+
 def test_integer_hits_match_fraction_hits():
     random.seed(12)
     for _ in range(800):
