@@ -19,24 +19,18 @@ from typing import NoReturn
 from .core import ReducedFraction, WeightFn, Window, expand, stat_alt, stat_max, stat_sum
 from .dedekind import dedekind_bh
 from .discrepancy import DISCREPANCY_LIMIT, reduced_fraction_discrepancy
-from .ensemble import (HISTOGRAM_LIMIT, StatSpec, constants, digit_histogram,
-                       scan)
+from .ensemble import (HISTOGRAM_LIMIT, SCAN_LIMIT, StatSpec, constants,
+                       digit_histogram, scan)
 from .errors import CfqError, LimitExceeded
 from .farey import FAREY_LIMIT, bd_tail, hensley_tail, vardi_sample
-from .search import min_max_quotient, min_sum, zaremba_scan
+from .search import (SEARCH_LIMIT, _check_N, min_max_quotient, min_sum,
+                     zaremba_scan)
 from .weight import IntervalQ
 
 
 def _frac_str(x) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CFQ_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _weight_from_name(name: str) -> WeightFn:
@@ -53,6 +47,18 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _workers(command: str, args) -> int:
+    """--workers, else CFQ_WORKERS, else 1; read only by the commands that
+    use it, so a bad CFQ_WORKERS does not affect the others."""
+    if args.workers is not None:
+        return args.workers
+    text = os.environ.get("CFQ_WORKERS") or "1"
+    try:
+        return positive_int(text)
+    except argparse.ArgumentTypeError as exc:
+        _usage_error(f"{command}: CFQ_WORKERS: {exc}")
+
+
 def _check_range(command: str, rng) -> None:
     if rng is not None and rng[0] > rng[1]:
         _usage_error(f"{command}: --range LO HI needs LO <= HI, "
@@ -65,6 +71,18 @@ def fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(str(exc)) from None
+
+
+def positive_int(text: str) -> int:
+    """argparse type for an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, "
+                                         f"got {text!r}")
+    return value
 
 
 def float_list(text: str) -> list[float]:
@@ -117,13 +135,16 @@ def cmd_scan(args, out) -> int:
     _check_range("scan", args.range)
     if args.stat == "L" and (args.b is None or args.c is None):
         _usage_error("scan: --stat L needs --b and --c")
+    lo, hi = args.range or (args.N, args.N)
+    if max(hi, hi - lo + 1) > SCAN_LIMIT:
+        raise LimitExceeded(f"scan capped at N = {SCAN_LIMIT} and at "
+                            f"{SCAN_LIMIT} values of N")
+    workers = _workers("scan", args)
     spec = _spec_from_args(args)
     thresholds = args.t or []
-    Ns = [args.N] if args.N is not None else list(range(args.range[0],
-                                                        args.range[1] + 1))
     header_done = False
-    for N in Ns:
-        summary = scan(N, spec, thresholds=thresholds, workers=args.workers)
+    for N in range(lo, hi + 1):
+        summary = scan(N, spec, thresholds=thresholds, workers=workers)
         rec = _summary_record(summary)
         if args.format == "csv":
             cols = ["N", "phi", "stat", "mean", "variance"] + \
@@ -167,6 +188,8 @@ def cmd_search(args, out) -> int:
                                "without_witness": bad}, sort_keys=True))
         return 0
     finder = min_sum if args.min_stat == "S" else min_max_quotient
+    _check_N(lo)  # both ends, before the CSV header is written
+    _check_N(hi)
     _emit(out, "N,argmin,min,bound,margin")
     for N in range(lo, hi + 1):
         rec = finder(N)
@@ -197,7 +220,8 @@ def cmd_farey(args, out) -> int:
 
 
 def cmd_gk(args, out) -> int:
-    h = digit_histogram(args.N, args.max_digit, workers=args.workers)
+    h = digit_histogram(args.N, args.max_digit,
+                        workers=_workers("gk", args))
     _emit(out, "m,freq,target,diff")
     for m in range(1, args.max_digit + 1):
         _emit(out, f"{m},{h['freq'][m]!r},{h['target'][m]!r},"
@@ -214,6 +238,10 @@ def cmd_constants(args, out) -> int:
                 "b": args.b, "c": args.c})
     _emit(out, json.dumps(rec, sort_keys=True))
     return 0
+
+
+WORKERS_HELP = ("worker processes, at least 1; the default is CFQ_WORKERS, "
+                "else 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,9 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="ensemble moments and tails over Z_N*; CSV columns are fixed "
              "as N, phi, stat, mean, variance, then one tail@t column per "
              "threshold")
-    p.add_argument("N", type=int, nargs="?")
+    p.add_argument("N", type=int, nargs="?",
+                   help=f"denominator, at most {SCAN_LIMIT}")
     p.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
-                   help="scan every N in [LO, HI], one output line each")
+                   help=f"scan every N in [LO, HI], one output line each; "
+                        f"HI and the number of N at most {SCAN_LIMIT}")
     p.add_argument("--stat", default="S",
                    choices=["S", "M", "L", "S_alt", "D", "restricted"])
     p.add_argument("--t", type=float_list,
@@ -248,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight for --stat restricted")
     p.add_argument("--eta", type=int, help="window start for restricted")
     p.add_argument("--theta", type=int, help="window end for restricted")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=positive_int, help=WORKERS_HELP)
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_scan)
 
@@ -272,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "bound, margin")
     p.add_argument("--min-stat", default="M", choices=["S", "M"])
     p.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
-                   required=True)
+                   required=True, help=f"2 <= LO <= HI <= {SEARCH_LIMIT}")
     p.add_argument("--zaremba", type=int, metavar="K",
                    help="list denominators with no all-digits-<=K numerator")
     p.set_defaults(func=cmd_search)
@@ -287,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gk",
                        help="digit histogram vs the Gauss-Kuzmin law; CSV "
                             "columns m, freq, target, diff")
-    p.add_argument("N", type=int)
+    p.add_argument("N", type=int, help=f"denominator, at most {SCAN_LIMIT}")
     p.add_argument("--max-digit", type=int, default=5,
                    help=f"largest digit reported, at most {HISTOGRAM_LIMIT}")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=positive_int, help=WORKERS_HELP)
     p.set_defaults(func=cmd_gk)
 
     p = sub.add_parser("constants", help="theorem constants for a weight")

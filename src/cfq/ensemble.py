@@ -23,14 +23,19 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .core import (MAX_DENOMINATOR, ReducedFraction, Rational, WeightFn,
-                   Window, alt_sum, cf_digits, count_in, windowed_sum)
+from .core import (ReducedFraction, Rational, WeightFn, Window, alt_sum,
+                   cf_digits, count_in, windowed_sum)
 from .errors import InvalidSpec, InvariantError, InvalidWindow, LimitExceeded
 from .dedekind import dedekind_scaled
 
 PI2 = math.pi ** 2
 
 STAT_KINDS = ("S", "M", "L", "S_alt", "D", "restricted")
+
+#: Largest N of scan and digit_histogram.  Their memory stays near one
+#: MARK_BLOCK table whatever N is (21 MB at N = 10^7), but their time
+#: grows with N: 11-15 s on one CPU at 10^7, so about 2-3 min at the limit.
+SCAN_LIMIT = 10 ** 8
 
 #: Largest m_max of digit_histogram: each worker allocates m_max + 2
 #: counters, and the result holds five m_max-entry tables.
@@ -285,11 +290,14 @@ def _scan_range(args):
 def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
          workers: int = 1, with_histogram: bool = False,
          center: float = 0.0, absolute: bool = False) -> EnsembleSummary:
-    """Exact moments/tails of spec over Z_N*, threshold t means t * ln N."""
+    """Exact moments/tails of spec over Z_N*, threshold t means t * ln N.
+
+    N above SCAN_LIMIT raises LimitExceeded.
+    """
     if N < 2:
         raise InvalidSpec(f"need N >= 2, got {N}")
-    if N >= MAX_DENOMINATOR:
-        raise LimitExceeded(f"denominator {N} >= 2^62")
+    if N > SCAN_LIMIT:
+        raise LimitExceeded(f"scan capped at N = {SCAN_LIMIT}")
     thresholds = list(thresholds or [])
     scale = 24 * N if spec.kind == "D" else 1
     if spec.kind == "restricted":
@@ -302,11 +310,13 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
     tails = {t: sum(p[3][j] for p in parts) for j, t in enumerate(thresholds)}
     hist = None
     if with_histogram:
-        hist = {}
+        raws: dict = {}
         for p in parts:
             for raw, v in p[4].items():
-                k = Fraction(raw, scale) if scale != 1 else raw
-                hist[k] = hist.get(k, 0) + v
+                raws[raw] = raws.get(raw, 0) + v
+        # merged first, so each Fraction key is built and hashed once
+        hist = raws if scale == 1 else {Fraction(raw, scale): v
+                                        for raw, v in raws.items()}
     phi = euler_phi(N)
     if count != phi:
         raise InvariantError(f"scan visited {count} numerators, phi({N}) = {phi}")
@@ -362,12 +372,12 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
     of digits above m_max; last_counts, the count of a_r = m; and
     interior_freq, the normalized frequency of a_1, ..., a_{r-1} alone
     (the same under either end convention), with the same norm as freq.
-    m_max above HISTOGRAM_LIMIT raises LimitExceeded.
+    N above SCAN_LIMIT or m_max above HISTOGRAM_LIMIT raises LimitExceeded.
     """
     if N < 3:
         raise InvalidSpec(f"need N >= 3, got {N}")
-    if N >= MAX_DENOMINATOR:
-        raise LimitExceeded(f"denominator {N} >= 2^62")
+    if N > SCAN_LIMIT:
+        raise LimitExceeded(f"scan capped at N = {SCAN_LIMIT}")
     if m_max < 1:
         raise InvalidSpec(f"need m_max >= 1, got {m_max}")
     if m_max > HISTOGRAM_LIMIT:

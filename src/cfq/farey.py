@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ReducedFraction, cf_digits
-from .dedekind import dedekind_scaled
+from .core import ReducedFraction
+from .ensemble import StatSpec, scan
 from .errors import BadRange, LimitExceeded
 
 PI2 = math.pi ** 2
 #: Largest order Q of the limit-law comparisons: F_Q has about
-#: 3 Q^2 / pi^2 members (3 * 10^7 at the limit), each walked once.
+#: 3 Q^2 / pi^2 members (3 * 10^7 at the limit), scanned Z_N* by Z_N*.
 FAREY_LIMIT = 10 ** 4
 
 
@@ -37,16 +37,15 @@ def enumerate_farey(Q: int):
         x0, y0, x1, y1 = x1, y1, k * x1 - x0, k * y1 - y0
 
 
-def _members(Q: int):
-    """Members a/N of F_Q with N >= 3, the ones normalized by ln N.
-
-    Q above FAREY_LIMIT raises LimitExceeded.
-    """
+def _histograms(Q: int, kind: str):
+    """F_Q without 1/2 as (N, ensemble.scan value histogram of kind over
+    Z_N*) for 3 <= N <= Q.  Q is checked at the call, not at the first N."""
     if Q < 3:
         raise BadRange(f"need Q >= 3, got {Q}")
     if Q > FAREY_LIMIT:
         raise LimitExceeded(f"Farey order capped at Q = {FAREY_LIMIT}")
-    return (frac for frac in enumerate_farey(Q) if frac.N >= 3)
+    return ((N, scan(N, StatSpec(kind), with_histogram=True).histogram)
+            for N in range(3, Q + 1))
 
 
 def hensley_tail(Q: int, t: float) -> tuple[float, float]:
@@ -54,15 +53,15 @@ def hensley_tail(Q: int, t: float) -> tuple[float, float]:
 
     Members with N = 2 are skipped.
     """
-    members = _members(Q)
+    histograms = _histograms(Q, "M")
     if t <= 0:
         raise BadRange(f"need t > 0, got {t}")
-    hits = 0
-    total = 0
-    for frac in members:
-        total += 1
-        if max(cf_digits(frac.a, frac.N)) >= t * math.log(frac.N):
-            hits += 1
+    hits = total = 0
+    for N, hist in histograms:
+        for m, mult in hist.items():
+            total += mult
+            if m >= t * math.log(N):
+                hits += mult
     return hits / total, 1 - math.exp(-12 / (PI2 * t))
 
 
@@ -87,18 +86,18 @@ def vardi_sample(Q: int, probes: tuple = (-4.0, -2.0, -1.0, -0.5, 0.0,
     Report-only: empirical CDF at the probe points and the sup distance
     over those probes.  Members with N = 2 are skipped.
     """
-    members = _members(Q)
+    histograms = _histograms(Q, "D")
     probes = tuple(sorted(probes))
     below = [0] * len(probes)
     total = 0
-    for frac in members:
-        total += 1
-        # 2 pi D / ln N with D = scaled / (24 N)
-        v = 2 * math.pi * dedekind_scaled(frac.a, frac.N) / (24 * frac.N
-                                                             * math.log(frac.N))
-        for j, p in enumerate(probes):
-            if v <= p:
-                below[j] += 1
+    for N, hist in histograms:
+        for d, mult in hist.items():
+            total += mult
+            raw = d.numerator * (24 * N // d.denominator)  # D = raw/(24N)
+            v = 2 * math.pi * raw / (24 * N * math.log(N))
+            for j, p in enumerate(probes):
+                if v <= p:
+                    below[j] += mult
     emp = tuple(b / total for b in below)
     cau = tuple(cauchy_cdf(p) for p in probes)
     sup = max(abs(e - c) for e, c in zip(emp, cau))
@@ -112,16 +111,14 @@ def bd_tail(Q: int, t: float) -> tuple[float, float]:
     Returns (fraction with (S - (12/pi^2) ln N ln ln N)/ln N >= t,
     t * fraction).  Report-only; members with N = 2 are skipped.
     """
-    members = _members(Q)
-    hits = 0
-    total = 0
-    for frac in members:
-        total += 1
-        logN = math.log(frac.N)
+    hits = total = 0
+    for N, hist in _histograms(Q, "S"):
+        logN = math.log(N)
         center = (12 / PI2) * logN * math.log(logN)
-        s = sum(cf_digits(frac.a, frac.N))
-        if (s - center) / logN >= t:
-            hits += 1
+        for s, mult in hist.items():
+            total += mult
+            if (s - center) / logN >= t:
+                hits += mult
     frac_ = hits / total
     return frac_, t * frac_
 

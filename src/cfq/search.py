@@ -1,9 +1,9 @@
 """Extremal fractions: minimal digit sum or maximal digit over Z_N*.
 
 Small values of S(a/N) or M(a/N) mark good lattice points.  Both minima
-are found by full enumeration of Z_N* so the records are exact; ties go
-to the smallest numerator.  The M search and the Zaremba scan share one
-pruned Euclid walk that stops at the first digit reaching a bound.
+are exact; ties go to the smallest numerator.  The S minimum walks one
+member per symmetry orbit of Z_N*; the M search and the Zaremba scan walk
+all of Z_N*, pruned at the first digit reaching a bound.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import cf_digits
+from .ensemble import _representatives
 from .errors import BadRange, InvariantError, LimitExceeded
 
 #: Full enumeration only; beyond this denominator the scans refuse to run.
@@ -52,15 +53,16 @@ def min_sum(N: int) -> ExtremalRecord:
 
     bound_value is (12/pi^2) ln N ln ln N; whether the minimum lies below
     it is reported, not asserted, since the accompanying O(ln N) term has
-    an unspecified constant.
+    an unspecified constant.  An orbit a, N - a, a*, N - a* shares S, and
+    ensemble._representatives yields its smallest member a in ascending
+    order, so the first strict record is the smallest argmin.
     """
     _check_N(N)
     best, best_a = N + 1, None  # S(a/N) <= q_r = N
-    for a in range(1, N):
-        if math.gcd(a, N) == 1:
-            s = sum(cf_digits(a, N))
-            if s < best:
-                best, best_a = s, a
+    for a, _ in _representatives(N, 1, N // 2 + 1):
+        s = sum(cf_digits(a, N))
+        if s < best:
+            best, best_a = s, a
     bound = (12 / math.pi ** 2) * math.log(N) * math.log(math.log(N)) \
         if N >= 3 else float("inf")
     return ExtremalRecord(N=N, argmin_a=best_a, min_value=best,

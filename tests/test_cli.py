@@ -158,6 +158,15 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     (["gk", "101", "--max-digit", str(10 ** 15)], 4, "m_max"),
     (["discrepancy", str(10 ** 15)], 4, "N = 1000000"),
     (["farey", str(10 ** 15)], 4, "Q = 10000"),
+    (["scan", str(10 ** 15)], 4, "N = 100000000"),
+    (["scan", "--range", "2", str(10 ** 12)], 4, "N = 100000000"),
+    (["scan", "--range", str(-10 ** 12), "5"], 4, "100000000 values of N"),
+    (["gk", str(10 ** 15)], 4, "N = 100000000"),
+    (["search", "--range", "10000001", "10000002"], 4, "N = 10000000"),
+    (["search", "--min-stat", "S", "--range", "1", "3"], 3, "N >= 2"),
+    (["scan", "101", "--workers", "0"], 2, "--workers"),
+    (["scan", "101", "--workers", "-5"], 2, "--workers"),
+    (["gk", "101", "--workers", "0"], 2, "--workers"),
 ])
 def test_bad_input_exit_codes(capsys, argv, code, message):
     try:
@@ -168,6 +177,21 @@ def test_bad_input_exit_codes(capsys, argv, code, message):
     assert got == code
     assert out.out == ""
     assert message in out.err
+
+
+@pytest.mark.parametrize("value", ["abc", "-2", "0"])
+@pytest.mark.parametrize("argv", [["scan", "101"], ["gk", "101"]])
+def test_bad_worker_variable(monkeypatch, capsys, argv, value):
+    monkeypatch.setenv("CFQ_WORKERS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert f"cfq {argv[0]}: CFQ_WORKERS: " in out.err
+    # only the commands with workers read the variable
+    code, out, _ = run(capsys, "expand", "10", "7")
+    assert code == 0 and json.loads(out)["S"] == 6
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,11 +1,14 @@
+import functools
 import math
 
 import pytest
 
+from cfq.core import cf_digits
+from cfq.dedekind import dedekind_scaled
 from cfq.ensemble import euler_phi
 from cfq.errors import BadRange
-from cfq.farey import (bd_tail, enumerate_farey, farey_count, hensley_tail,
-                       vardi_sample)
+from cfq.farey import (VardiReport, bd_tail, cauchy_cdf, enumerate_farey,
+                       farey_count, hensley_tail, vardi_sample)
 
 
 def test_enumeration_examples():
@@ -61,3 +64,74 @@ def test_bd_tail_trivials():
     assert frac == 0 and prod == 0
     frac, _ = bd_tail(120, -1e9)
     assert frac == 1
+
+
+# Reference laws: one loop over the members a/N of F_Q with one Euclid
+# walk each, no histograms.  Members and walks are cached, so each t
+# reuses them.
+
+@functools.cache
+def _members_ref(Q):
+    return tuple(frac for frac in enumerate_farey(Q) if frac.N >= 3)
+
+
+_digits = functools.cache(cf_digits)
+_dedekind = functools.cache(dedekind_scaled)
+
+
+def _hensley_ref(Q, t):
+    hits = 0
+    total = 0
+    for frac in _members_ref(Q):
+        total += 1
+        if max(_digits(frac.a, frac.N)) >= t * math.log(frac.N):
+            hits += 1
+    return hits / total, 1 - math.exp(-12 / (math.pi ** 2 * t))
+
+
+def _vardi_ref(Q, probes):
+    probes = tuple(sorted(probes))
+    below = [0] * len(probes)
+    total = 0
+    for frac in _members_ref(Q):
+        total += 1
+        v = 2 * math.pi * _dedekind(frac.a, frac.N) / (24 * frac.N
+                                                       * math.log(frac.N))
+        for j, p in enumerate(probes):
+            if v <= p:
+                below[j] += 1
+    emp = tuple(b / total for b in below)
+    cau = tuple(cauchy_cdf(p) for p in probes)
+    sup = max(abs(e - c) for e, c in zip(emp, cau))
+    return VardiReport(Q=Q, count=total, probes=probes, empirical_cdf=emp,
+                       cauchy_cdf=cau, sup_distance=sup)
+
+
+def _bd_ref(Q, t):
+    hits = 0
+    total = 0
+    for frac in _members_ref(Q):
+        total += 1
+        logN = math.log(frac.N)
+        center = (12 / math.pi ** 2) * logN * math.log(logN)
+        s = sum(_digits(frac.a, frac.N))
+        if (s - center) / logN >= t:
+            hits += 1
+    frac_ = hits / total
+    return frac_, t * frac_
+
+
+def test_laws_match_per_member_reference():
+    # t = k / ln N0 puts t ln N0 exactly on k, a maximal digit of Z_N0*,
+    # so the hensley comparison is tested on its boundary
+    boundary = [k / math.log(N0) for k, N0 in
+                ((2, 7), (3, 10), (5, 23), (8, 41), (4, 55), (7, 150),
+                 (6, 199))]
+    default = vardi_sample.__defaults__[0]
+    for Q in [*range(3, 61), 198, 199, 200, 201, 500]:
+        for t in [0.5, 1, 2, 3.7, *boundary]:
+            assert hensley_tail(Q, t) == _hensley_ref(Q, t), (Q, t)
+        for t in (-1e9, -0.5, 0, 0.3, 1, 2, 1e9):
+            assert bd_tail(Q, t) == _bd_ref(Q, t), (Q, t)
+        for probes in (default, (1e-12, 0.0, -1e-12, -3.0, 0.25)):
+            assert vardi_sample(Q, probes) == _vardi_ref(Q, probes), Q

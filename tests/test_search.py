@@ -53,7 +53,7 @@ def test_validation():
 
 
 def test_search_matches_full_expansion_brute_force():
-    for N in range(2, 401):
+    for N in [*range(2, 401), 10007, 30030]:
         units = [a for a in range(1, N) if math.gcd(a, N) == 1]
         for finder, fold in ((min_sum, sum), (min_max_quotient, max)):
             r = finder(N)
