@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -85,9 +86,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    """argparse type for a float other than nan and +-inf (not JSON)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
 def float_list(text: str) -> list[float]:
-    """argparse type for comma-separated floats; empty text gives []."""
-    return [float(t) for t in text.split(",")] if text else []
+    """argparse type for comma-separated finite floats; empty text gives []."""
+    return [finite_float(t) for t in text.split(",")] if text else []
 
 
 def cmd_expand(args, out) -> int:
@@ -311,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("Q", type=int, help=f"Farey order, at most {FAREY_LIMIT}")
     p.add_argument("--law", default="hensley",
                    choices=["hensley", "vardi", "bd"])
-    p.add_argument("--t", type=float, default=2.0)
+    p.add_argument("--t", type=finite_float, default=2.0)
     p.set_defaults(func=cmd_farey)
 
     p = sub.add_parser("gk",

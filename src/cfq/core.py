@@ -2,9 +2,12 @@
 
 Every fraction a/N handled here is reduced, with 1 <= a <= N-1 and N >= 2.
 Expansions use the canonical form [0; a_1, ..., a_r] with a_r >= 2 (for
-r >= 2; a single digit equals N and is always >= 2).  cf_digits is the
-full Euclid walk; every statistic of the whole expansion is a fold of its
-digit list (sum, max, count_in, alt_sum, windowed_sum).
+r >= 2; a single digit equals N and is always >= 2).  cf_walk is the one
+full Euclid walk: it yields the digits together with q_{r-1}, the
+next-to-last convergent denominator, which fixes the digit-reversed
+partner a* and the Dedekind sum.  cf_digits is its digit list; every
+statistic of the whole expansion is a fold of that list (sum, max,
+count_in, alt_sum, windowed_sum).
 """
 
 from __future__ import annotations
@@ -45,13 +48,22 @@ class ReducedFraction:
         return Fraction(self.a, self.N)
 
 
+def cf_walk(a: int, N: int) -> tuple[list[int], int]:
+    """(digits, q_{r-1}): the canonical partial quotients of a/N and its
+    next-to-last convergent denominator (assumes 0 < a < N, gcd = 1)."""
+    digits = []
+    q0, q1 = 0, 1  # (q_{i-1}, q_i)
+    while a:
+        d = N // a
+        digits.append(d)
+        q0, q1 = q1, d * q1 + q0
+        N, a = a, N % a
+    return digits, q0
+
+
 def cf_digits(a: int, N: int) -> list[int]:
     """Canonical partial quotients of a/N (assumes 0 < a < N, gcd = 1)."""
-    digits = []
-    while a:
-        digits.append(N // a)
-        N, a = a, N % a
-    return digits
+    return cf_walk(a, N)[0]
 
 
 def convergents_of(digits: Sequence[int]) -> list[tuple[int, int]]:
@@ -67,10 +79,7 @@ def convergents_of(digits: Sequence[int]) -> list[tuple[int, int]]:
 
 def evaluate_digits(digits: Sequence[int]) -> tuple[int, int]:
     """Value (p, q) of [0; d_1, ..., d_r]; the list need not be canonical."""
-    p0, q0, p1, q1 = 1, 0, 0, 1
-    for d in digits:
-        p0, q0, p1, q1 = p1, q1, d * p1 + p0, d * q1 + q0
-    return p1, q1
+    return convergents_of(digits)[-1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,15 +8,17 @@ denominator q_{r-1} of the same expansion:
     D(a, N) = ((-1)^r - 1)/8 + (1/12) (a/N - (-1)^r q_{r-1}/N - S_alt)
 
 where S_alt = sum_i (-1)^i a_i.  Continuants are symmetric, so q_{r-1}
-is also the numerator of the reversed expansion [0; a_r, ..., a_1], and
-one forward Euclid walk yields every term.
+is also the numerator of the reversed expansion [0; a_r, ..., a_1].
+core.cf_walk yields the digits and q_{r-1} in one Euclid walk, and
+closed_form turns them into 24 N D(a, N); ensemble scans call it on the
+walk they already made.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import ReducedFraction, stat_alt, expand
+from .core import ReducedFraction, alt_sum, cf_walk, expand, stat_alt
 from .errors import InvariantError, LimitExceeded, NotCoprime
 
 #: The direct sum walks all residues once; beyond this it is pointless
@@ -45,20 +47,18 @@ def dedekind_bh(frac: ReducedFraction) -> Fraction:
 
 
 def dedekind_scaled(a: int, N: int) -> int:
-    """24 N D(a, N) as an integer, from one forward Euclid walk."""
-    num, den = a, N
-    q0, q1 = 0, 1  # (q_{i-1}, q_i)
-    sign = 1  # (-1)^i
-    s_alt = 0
-    while num:
-        d = den // num
-        q0, q1 = q1, d * q1 + q0
-        sign = -sign
-        s_alt += sign * d
-        den, num = num, den % num
-    if q1 != N:
-        raise InvariantError(f"{a}/{N} is not reduced: its walk ends at {q1}")
-    return 3 * N * (sign - 1) + 2 * (a - sign * q0) - 2 * N * s_alt
+    """24 N D(a, N) as an integer, from one Euclid walk."""
+    digits, q = cf_walk(a, N)
+    # a q_{r-1} = (-1)^(r-1) mod N holds exactly when gcd(a, N) = 1
+    if (a * q - (-1) ** (len(digits) - 1)) % N:
+        raise InvariantError(f"{a}/{N} is not reduced")
+    return closed_form(a, N, digits, q)
+
+
+def closed_form(a: int, N: int, digits: list[int], q: int) -> int:
+    """24 N D(a, N) from the digits of a/N and q = q_{r-1}."""
+    sign = -1 if len(digits) % 2 else 1  # (-1)^r
+    return 3 * N * (sign - 1) + 2 * (a - sign * q) - 2 * N * alt_sum(digits)
 
 
 def reciprocity_check(a: int, b: int) -> bool:

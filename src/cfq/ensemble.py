@@ -4,11 +4,12 @@ A scan visits Z_N* one symmetry orbit at a time.  The maps a -> N - a
 and a -> a^-1 mod N generate a group of order 4; the orbit of a <= N/2
 is {a, N - a, a*, N - a*} with a* = min(a^-1, N - a^-1) = q_{r-1}(a),
 whose digits are those of a reversed, while N - a has [1, a_1 - 1, a_2,
-..., a_r].  Only the member a <= a* is walked (about phi(N)/4 Euclid
-walks); the digits of a give every member's statistic, and the scan
-folds them as (value, multiplicity) pairs into exact first and second
-moments plus tail counts against thresholds that scale with ln N.  A
-palindrome (a* = a) has two members, and N = 2 the one member 1.
+..., a_r].  One walk of a (core.cf_walk) gives its digits and a*; only
+a <= a* is kept, and a* is not walked (about phi(N)/4 Euclid walks).
+The digits of a give every member's statistic, and the scan folds them
+as (value, multiplicity) pairs into exact first and second moments plus
+tail counts against thresholds that scale with ln N.  A palindrome
+(a* = a) has two members, and N = 2 the one member 1.
 Workers split the representative range [1, N/2] into contiguous ranges;
 the merge is plain addition of exact accumulators, so the result does
 not depend on the worker count.
@@ -24,9 +25,9 @@ from functools import cache
 from typing import Optional
 
 from .core import (ReducedFraction, Rational, WeightFn, Window, alt_sum,
-                   cf_digits, count_in, windowed_sum)
+                   cf_walk, count_in, windowed_sum)
 from .errors import InvalidSpec, InvariantError, InvalidWindow, LimitExceeded
-from .dedekind import dedekind_scaled
+from .dedekind import closed_form
 
 PI2 = math.pi ** 2
 
@@ -177,11 +178,12 @@ def _map_ranges(range_fn, N: int, workers: int, *args) -> list:
 
 
 def _representatives(N: int, lo: int, hi: int):
-    """(a, a*) for each orbit representative a in [lo, hi): a coprime to N
-    with a <= a* = min(a^-1, N - a^-1).
+    """(a, a*, digits of a/N), all from one walk, for each orbit
+    representative a in [lo, hi): a coprime to N with a <= a* = q_{r-1}(a).
 
-    Each block of MARK_BLOCK numerators marks the partners a* > a of its
-    representatives that fall inside it, which spares pow() for them.
+    Each block of MARK_BLOCK numerators marks the partners a* > a inside
+    it, which are then not walked; a partner of a representative in an
+    earlier block or range costs one discarded walk.
     """
     for start in range(lo, hi, MARK_BLOCK):
         end = min(start + MARK_BLOCK, hi)
@@ -189,42 +191,40 @@ def _representatives(N: int, lo: int, hi: int):
         for a in range(start, end):
             if seen[a - start] or math.gcd(a, N) != 1:
                 continue
-            inv = pow(a, -1, N)
-            star = min(inv, N - inv)
+            digits, star = cf_walk(a, N)
             if a <= star:
                 if star < end:
                     seen[star - start] = 1
-                yield a, star
+                yield a, star, digits
 
 
 def _orbit_fn(spec: StatSpec, N: int):
-    """a -> (raw value, multiplicity) pairs of spec over the four members
-    a, N - a, a*, N - a* of the orbit of a < N/2, a's own value first.
+    """(a, a*, digits d of a/N) -> (raw value, multiplicity) pairs of spec
+    over the members a, N - a, a*, N - a* of the orbit of a < N/2, a's own
+    value first.  The raw value is a fold of d, or 24 N D(a/N).
 
-    The raw value is a digit fold of cf_digits(a, N), or 24 N D(a/N).
     Built in the worker, since a closure does not pickle.
     """
     if spec.kind == "D":
         # D(a^-1/N) = D(a/N) and D((N-a)/N) = -D(a/N)
-        def dedekind_pairs(a):
-            v = dedekind_scaled(a, N)
+        def dedekind_pairs(a, star, d):
+            v = closed_form(a, N, d, star)
             return (v, 2), (-v, 2)
         return dedekind_pairs
     if spec.kind == "S":
-        return lambda a: ((sum(cf_digits(a, N)), 4),)
+        return lambda a, star, d: ((sum(d), 4),)
     if spec.kind == "M":
-        def max_pairs(a):
-            d = cf_digits(a, N)
+        def max_pairs(a, star, d):
             m = max(d)
             # N - a (N - a*) has m - 1 when a_1 (a_r) is the only maximum
             k = 0 if d.count(m) > 1 else (d[0] == m) + (d[-1] == m)
             return ((m, 4 - k), (m - 1, k)) if k else ((m, 4),)
         return max_pairs
     if spec.kind == "S_alt":
-        def alt_pairs(a):
-            d = cf_digits(a, N)
+        def alt_pairs(a, star, d):
             s = alt_sum(d)
-            if len(d) % 2:  # a* has the same S_alt
+            # a* has S_alt (-1)^(r-1) s, which is s if r is odd or s = 0
+            if len(d) % 2 or not s:
                 return (s, 2), (-s - 2, 2)
             return (s, 1), (-s - 2, 1), (-s, 1), (s - 2, 1)
         return alt_pairs
@@ -236,23 +236,13 @@ def _orbit_fn(spec: StatSpec, N: int):
         """The change of an additive fold when x becomes 1, x - 1."""
         return fold((1, x - 1), *params) - fold((x,), *params)
 
-    def additive_pairs(a):
-        d = cf_digits(a, N)
+    def additive_pairs(a, star, d):
         F = fold(d, *params)
         first, last = delta(d[0]), delta(d[-1])
         if first == last:
             return ((F, 4),) if not first else ((F, 2), (F + first, 2))
         return (F, 2), (F + first, 1), (F + last, 1)
     return additive_pairs
-
-
-def _halved(pairs) -> list:
-    """The orbit pairs of a palindrome a = a*, whose four members a, N - a,
-    a*, N - a* list each of its two members twice."""
-    merged: dict = {}
-    for raw, mult in pairs:
-        merged[raw] = merged.get(raw, 0) + mult
-    return [(raw, mult // 2) for raw, mult in merged.items()]
 
 
 def _scan_range(args):
@@ -266,11 +256,11 @@ def _scan_range(args):
     count = 0
     total = 0
     total_sq = 0
-    for a, star in _representatives(N, lo, hi):
-        pairs = orbit(a)
-        if star == a:
-            # N = 2 has the one member a = N - a = 1
-            pairs = _halved(pairs) if 2 * a < N else ((pairs[0][0], 1),)
+    for a, star, d in _representatives(N, lo, hi):
+        pairs = orbit(a, star, d)
+        if star == a:  # a palindrome: pairs list each member twice
+            pairs = ([(raw, mult // 2) for raw, mult in pairs] if 2 * a < N
+                     else ((pairs[0][0], 1),))  # N = 2: the one member 1
         for raw, mult in pairs:
             count += mult
             total += raw * mult
@@ -333,8 +323,7 @@ def _digit_range(args):
     top = m_max + 1
     counts = [0] * (top + 1)
     last = [0] * top
-    for a, star in _representatives(N, lo, hi):
-        d = cf_digits(a, N)
+    for a, star, d in _representatives(N, lo, hi):
         # Every member carries the digits of a, except that N - a and
         # N - a* swap a_1 and a_r for 1, a_1 - 1 and 1, a_r - 1.  A
         # palindrome has no separate a*, N - a*.

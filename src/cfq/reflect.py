@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ContinuedFraction, ReducedFraction, cf_digits, convergents_of, expand
+from .core import ContinuedFraction, ReducedFraction, cf_walk, expand
 from .errors import WrongHalf
 
 
@@ -31,16 +31,14 @@ def reflect_lower(frac: ReducedFraction) -> ReducedFraction:
     """Image a* with a*/N = [0; a_r, ..., a_1]; requires a <= N/2."""
     if 2 * frac.a > frac.N:
         raise WrongHalf(f"{frac.a}/{frac.N} is in the upper half")
-    q = convergents_of(cf_digits(frac.a, frac.N))[-2][1]  # q_{r-1}
-    return ReducedFraction(q, frac.N)
+    return ReducedFraction(cf_walk(frac.a, frac.N)[1], frac.N)
 
 
 def reflect_upper(frac: ReducedFraction) -> ReducedFraction:
     """Image a* of the upper-half reflection; requires a > N/2."""
     if 2 * frac.a <= frac.N:
         raise WrongHalf(f"{frac.a}/{frac.N} is in the lower half")
-    q = convergents_of(cf_digits(frac.a, frac.N))[-2][1]  # q_{r-1}
-    return ReducedFraction(frac.N - q, frac.N)
+    return ReducedFraction(frac.N - cf_walk(frac.a, frac.N)[1], frac.N)
 
 
 def reflect(frac: ReducedFraction) -> ReflectionRecord:
@@ -62,20 +60,13 @@ def verify_continuant_identity(frac: ReducedFraction) -> tuple[bool, list[tuple[
     """
     cf = expand(frac)
     r = cf.length
-    N = frac.N
-    lower = 2 * frac.a <= N
+    record = reflect(frac)
+    star = expand(record.image)
+    s = 0 if record.half == "lower" else 1  # the a* index shift
 
     def q(table: ContinuedFraction, i: int) -> int:
         return 0 if i < 0 else table.convergents[i][1]
 
-    if lower:
-        star = expand(reflect_lower(frac))
-        indices = range(1, r + 1)
-        witness = [(i, q(cf, i) * q(star, r - i) + q(cf, i - 1) * q(star, r - i - 1))
-                   for i in indices]
-    else:
-        star = expand(reflect_upper(frac))
-        indices = range(2, r)
-        witness = [(i, q(cf, i) * q(star, r - i + 1) + q(cf, i - 1) * q(star, r - i))
-                   for i in indices]
-    return all(lhs == N for _, lhs in witness), witness
+    witness = [(i, q(cf, i) * q(star, r - i + s) + q(cf, i - 1) * q(star, r - i - 1 + s))
+               for i in range(1 + s, r + 1 - s)]
+    return all(lhs == frac.N for _, lhs in witness), witness

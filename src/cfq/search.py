@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import cf_digits
 from .ensemble import _representatives
 from .errors import BadRange, InvariantError, LimitExceeded
 
@@ -59,8 +58,8 @@ def min_sum(N: int) -> ExtremalRecord:
     """
     _check_N(N)
     best, best_a = N + 1, None  # S(a/N) <= q_r = N
-    for a, _ in _representatives(N, 1, N // 2 + 1):
-        s = sum(cf_digits(a, N))
+    for a, _, digits in _representatives(N, 1, N // 2 + 1):
+        s = sum(digits)
         if s < best:
             best, best_a = s, a
     bound = (12 / math.pi ** 2) * math.log(N) * math.log(math.log(N)) \

@@ -167,6 +167,12 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     (["scan", "101", "--workers", "0"], 2, "--workers"),
     (["scan", "101", "--workers", "-5"], 2, "--workers"),
     (["gk", "101", "--workers", "0"], 2, "--workers"),
+    (["farey", "10", "--t", "nan"], 2, "--t"),
+    (["farey", "10", "--t", "inf"], 2, "--t"),
+    (["farey", "10", "--t", "-inf"], 2, "--t"),
+    (["farey", "10", "--t", "1e400"], 2, "--t"),
+    (["scan", "10", "--t", "nan,inf"], 2, "--t"),
+    (["scan", "10", "--t", "1,-inf"], 2, "--t"),
 ])
 def test_bad_input_exit_codes(capsys, argv, code, message):
     try:

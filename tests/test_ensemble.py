@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cfq.core import (ReducedFraction, WeightFn, Window, cf_digits, expand,
-                      restricted_sum, stat_alt, stat_count, stat_max, stat_sum)
+from cfq.core import (ReducedFraction, WeightFn, Window, cf_digits, cf_walk,
+                      expand, restricted_sum, stat_alt, stat_count, stat_max,
+                      stat_sum)
 from cfq.ensemble import (StatSpec, constants, digit_histogram,
                           enumerate_coprime, euler_phi, mu_window,
                           panov_mean_report, scan, thm_harness)
@@ -347,6 +348,7 @@ def test_orbit_member_digits():
             d = cf_digits(a, N)
             inv = pow(a, -1, N)
             star = min(inv, N - inv)
+            assert cf_walk(a, N) == (d, star), (N, a)
             assert cf_digits(star, N) == d[::-1], (N, a)
             assert cf_digits(N - a, N) == [1, d[0] - 1] + d[1:], (N, a)
             assert cf_digits(N - star, N) == [1, d[-1] - 1] + d[-2::-1], (N, a)
@@ -359,7 +361,8 @@ def test_orbit_member_digits():
 def test_representatives_partition_units_into_orbits(monkeypatch):
     for N in range(2, 300):
         members = []
-        for a, star in _representatives(N, 1, N // 2 + 1):
+        for a, star, digits in _representatives(N, 1, N // 2 + 1):
+            assert digits == cf_digits(a, N), (N, a)
             orbit = {a, N - a, star, N - star}
             assert len(orbit) == (1 if N == 2 else 2 if star == a else 4)
             assert (star == a) == (a * a % N in (1, N - 1)), (N, a)
@@ -372,16 +375,24 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
                 assert list(_representatives(N, 1, cut)) + \
                     list(_representatives(N, cut, N // 2 + 1)) == \
                     list(_representatives(N, 1, N // 2 + 1)), (N, cut)
-    # marks a* only inside a block: blocks of 5 numerators change nothing
+    # marks a* only inside a block: blocks of 5 numerators change nothing,
+    # and the walks of partners from earlier blocks or ranges are discarded
     whole = {N: list(_representatives(N, 1, N // 2 + 1)) for N in (97, 1009)}
     monkeypatch.setattr("cfq.ensemble.MARK_BLOCK", 5)
     for N, reps in whole.items():
         assert list(_representatives(N, 1, N // 2 + 1)) == reps
         assert digit_histogram(N, 4) == _reference_digit_histogram(N, 4)
+        for spec in (StatSpec("S"), StatSpec("M"), StatSpec("D")):
+            ref = _reference_scan(N, spec, [1.0], 0.0, True)
+            for workers in (1, 3):
+                s = scan(N, spec, thresholds=[1.0], workers=workers,
+                         with_histogram=True, absolute=True)
+                assert (s.count, s.sum_scaled, s.sumsq_scaled, s.tail_counts,
+                        s.histogram) == ref, (N, spec.label(), workers)
     monkeypatch.undo()
     # N = 2: {1}; N = 3, 4, 6: {1, N - 1}
     for N in (2, 3, 4, 6):
-        assert list(_representatives(N, 1, N // 2 + 1)) == [(1, 1)]
+        assert list(_representatives(N, 1, N // 2 + 1)) == [(1, 1, [N])]
         assert scan(N, StatSpec("M"), with_histogram=True).histogram == \
             Counter(max(cf_digits(a, N)) for a in range(1, N)
                     if math.gcd(a, N) == 1)

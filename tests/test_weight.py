@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from cfq.core import ReducedFraction, WeightFn, Window, cf_digits, evaluate_digits
 from cfq.errors import BadDigit, InvalidWindow, NotCoprime
-from cfq.weight import (IntervalQ, _hits_at_fraction, bijection_identity_check,
-                        counting_identity_check, integral_row, interval_I,
-                        interval_Iprime, interval_left, measure_I,
-                        measure_Iprime, row_sum, weight_eval, weight_hits,
+from cfq.weight import (IntervalQ, _hits_at_fraction, _interval,
+                        bijection_identity_check, counting_identity_check,
+                        integral_row, interval_I, interval_Iprime,
+                        interval_left, measure_I, measure_Iprime,
+                        prefix_convergents, row_sum, weight_eval, weight_hits,
                         weight_row_at, weight_step_pieces)
 
 
@@ -130,6 +131,22 @@ def test_integer_hits_against_brute_unreduced():
             brute_hits(b, k, Fraction(num, den), 300), (b, k, num, den, g)
 
 
+def fraction_hits(b, k, x):
+    """The Fraction form of the hit search: invert the endpoint formula
+    x = (t P + P') / (t Q + Q') for t, then confirm exact membership."""
+    hits = []
+    for pair in prefix_convergents(b, k):
+        P, Q, P1, Q1 = pair
+        denom = x * Q - P
+        if denom == 0:
+            continue
+        base = math.floor((P1 - x * Q1) / denom)
+        for m in range(max(1, base - 1), max(1, base) + 2):
+            if _interval(pair, m).contains(x):
+                hits.append(m)
+    return hits
+
+
 def test_integer_hits_match_fraction_hits():
     random.seed(12)
     for _ in range(800):
@@ -139,8 +156,8 @@ def test_integer_hits_match_fraction_hits():
         b = random.choice(bs)
         N = random.randint(2, 200)
         a = random.randint(1, N - 1)
-        assert sorted(_hits_at_fraction(b, k, a, N)) == \
-            sorted(weight_hits(b, k, Fraction(a, N)))
+        assert sorted(weight_hits(b, k, Fraction(a, N))) == \
+            sorted(fraction_hits(b, k, Fraction(a, N))), (b, k, a, N)
 
 
 def test_weight_eval_window_filter():
