@@ -9,7 +9,7 @@ strings, floats as shortest round-trip decimals.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import os
@@ -348,28 +348,10 @@ def _cannot_write(path: str, reason: str) -> int:
     return 2
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.output:
-        parent = os.path.dirname(os.path.abspath(args.output))
-        if not os.path.isdir(parent):
-            return _cannot_write(args.output, f"no directory {parent}")
-        if not os.access(parent, os.W_OK):
-            return _cannot_write(args.output, f"directory {parent} is not "
-                                              "writable")
-    # -o FILE is written only after the command succeeds, so a rejected
-    # command leaves an existing FILE as it was.
-    out = io.StringIO() if args.output else sys.stdout
+def _run(args, out) -> int:
+    """Run the command, writing to out; domain and limit errors exit 3, 4."""
     try:
-        code = args.func(args, out)
-        if args.output and code == 0:
-            try:
-                with open(args.output, "w") as f:
-                    f.write(out.getvalue())
-            except OSError as exc:
-                return _cannot_write(args.output, exc.strerror or str(exc))
-        return code
+        return args.func(args, out)
     except LimitExceeded as exc:
         print(f"cfq: {exc}", file=sys.stderr)
         return 4
@@ -379,6 +361,33 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"cfq: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.output:
+        return _run(args, sys.stdout)
+    # -o FILE: the command writes into a new file next to FILE, which
+    # replaces FILE on success and is deleted in every other case, so a
+    # rejected command or a failed write leaves an existing FILE as it was.
+    # An OSError while writing, closing or renaming the file exits 2.
+    tmp = f"{args.output}.{os.getpid()}.tmp"
+    try:
+        out = open(tmp, "x")
+    except OSError as exc:
+        return _cannot_write(args.output, exc.strerror or str(exc))
+    try:
+        with out:
+            code = _run(args, out)
+        if code == 0:
+            os.replace(tmp, args.output)
+        return code
+    except OSError as exc:
+        return _cannot_write(args.output, exc.strerror or str(exc))
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 if __name__ == "__main__":

@@ -156,6 +156,8 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     (["discrepancy", "100", "--hi", "1/0"], 2, "--hi"),
     (["scan", "101", "--stat", "L"], 2, "--b and --c"),
     (["gk", "101", "--max-digit", str(10 ** 15)], 4, "m_max"),
+    (["constants", "--theta", str(10 ** 8)], 4, "100000 digits"),
+    (["constants", "--c", str(10 ** 8)], 4, "100000 digits"),
     (["discrepancy", str(10 ** 15)], 4, "N = 1000000"),
     (["farey", str(10 ** 15)], 4, "Q = 10000"),
     (["scan", str(10 ** 15)], 4, "N = 100000000"),
@@ -213,6 +215,7 @@ def test_output_file_survives_rejected_command(tmp_path, capsys, argv, code):
         got = exc.code
     assert got == code
     assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_unwritable_output_path(tmp_path, capsys):
@@ -227,3 +230,7 @@ def test_unwritable_output_path(tmp_path, capsys):
     code, out, err = run(capsys, "-o", str(tmp_path), "expand", "10", "7")
     assert (code, out) == (2, "")
     assert err.startswith(f"cfq: cannot write {tmp_path}: ")
+    # no temporary file is left next to PATH or in the directory
+    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.parent.iterdir()
+            if p.name.startswith(tmp_path.name)] == [tmp_path.name]

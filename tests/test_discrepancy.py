@@ -77,6 +77,10 @@ def test_extreme_validation():
                                       True, True))
     with pytest.raises(BadRange):
         PointSet.from_values([Fraction(3, 2)])
+    # direct construction: sorted numerators in [0, scale], scale >= 1
+    for scale, values in ((6, (5, 1)), (6, (7,)), (0, (0,))):
+        with pytest.raises(BadRange):
+            PointSet(scale, values)
 
 
 def test_sweep_matches_brute_force():
@@ -225,6 +229,8 @@ def _random_interval(rnd: random.Random, dens, degenerate=True) -> IntervalQ:
 
 def test_integer_sweep_matches_fraction_sweep():
     rnd = random.Random(7)
+    # a stream of its own, so the point sets do not depend on it
+    rnd_iv = random.Random(8)
     dens = (1, 2, 3, 5, 6, 7, 12, 30, 97)
     for trial in range(2000):
         rng = UNIT if trial % 4 == 0 else _random_interval(rnd, dens, False)
@@ -235,6 +241,9 @@ def test_integer_sweep_matches_fraction_sweep():
         values += rnd.sample([values[0], Fraction(0), Fraction(1),
                               rng.lo, rng.hi], rnd.randint(0, 3))
         ps = PointSet.from_values(values)
+        assert ps.points == tuple(sorted(map(Fraction, values)))
+        iv = _random_interval(rnd_iv, dens)
+        assert ps.count(iv) == sum(1 for x in ps.points if iv.contains(x))
         assert _same_report(extreme_discrepancy(ps, rng),
                             _fraction_extreme(ps, rng)), (values, rng)
         assert _same_report(star_discrepancy(ps), _fraction_star(ps)), values
