@@ -156,8 +156,6 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     (["discrepancy", "100", "--hi", "1/0"], 2, "--hi"),
     (["scan", "101", "--stat", "L"], 2, "--b and --c"),
     (["gk", "101", "--max-digit", str(10 ** 15)], 4, "m_max"),
-    (["constants", "--theta", str(10 ** 8)], 4, "100000 digits"),
-    (["constants", "--c", str(10 ** 8)], 4, "100000 digits"),
     (["discrepancy", str(10 ** 15)], 4, "N = 1000000"),
     (["farey", str(10 ** 15)], 4, "Q = 10000"),
     (["scan", str(10 ** 15)], 4, "N = 100000000"),
@@ -175,6 +173,8 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     (["farey", "10", "--t", "1e400"], 2, "--t"),
     (["scan", "10", "--t", "nan,inf"], 2, "--t"),
     (["scan", "10", "--t", "1,-inf"], 2, "--t"),
+    (["constants", "--theta", str(10 ** 8)], 4, "100000 digits"),
+    (["constants", "--c", str(10 ** 8)], 4, "100000 digits"),
 ])
 def test_bad_input_exit_codes(capsys, argv, code, message):
     try:
