@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 from typing import NoReturn
@@ -368,26 +369,34 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.output:
         return _run(args, sys.stdout)
-    # -o FILE: the command writes into a new file next to FILE, which
-    # replaces FILE on success and is deleted in every other case, so a
-    # rejected command or a failed write leaves an existing FILE as it was.
-    # An OSError while writing, closing or renaming the file exits 2.
-    tmp = f"{args.output}.{os.getpid()}.tmp"
+    # -o FILE, FILE missing or a regular file: the command writes into a
+    # new file next to FILE, which replaces FILE on success and is deleted
+    # in every other case, so a rejected command or a failed write leaves
+    # an existing FILE as it was.  Any other FILE (a device, a FIFO) is
+    # written directly.  An OSError on FILE or the new file exits 2.
     try:
-        out = open(tmp, "x")
+        regular = stat.S_ISREG(os.stat(args.output).st_mode)
+    except FileNotFoundError:
+        regular = True
+    except OSError as exc:
+        return _cannot_write(args.output, exc.strerror or str(exc))
+    tmp = f"{args.output}.{os.getpid()}.tmp" if regular else None
+    try:
+        out = open(tmp, "x") if tmp else open(args.output, "w")
     except OSError as exc:
         return _cannot_write(args.output, exc.strerror or str(exc))
     try:
         with out:
             code = _run(args, out)
-        if code == 0:
+        if tmp and code == 0:
             os.replace(tmp, args.output)
         return code
     except OSError as exc:
         return _cannot_write(args.output, exc.strerror or str(exc))
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        if tmp:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 if __name__ == "__main__":

@@ -6,11 +6,12 @@ the point masses are atoms, closed degenerate intervals [v, v] are
 admissible and the supremum is always attained at intervals whose
 endpoints are point values or range endpoints.
 
-A PointSet is sorted integer numerators over one denominator, and each
-count of its points is a bisection on them.  The sweeps rescale them
-once, to the lcm L of that denominator and the range's, and score each
-term at scale M * L for M points: scaling keeps every comparison and tie,
-so value and witness are exact, and only they are built as Fractions.
+A PointSet is sorted integer numerators over one denominator, so the
+number of points below a value is a position in them: a bisection, or
+read off in one pass over them.  The sweeps rescale them once, to the
+lcm L of that denominator and the range's, and score each term at scale
+M * L for M points: scaling keeps every comparison and tie, so value
+and witness are exact, and only they are built as Fractions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from .core import Rational
@@ -27,7 +27,7 @@ from .errors import BadRange, BadSpec, EmptySet, LimitExceeded
 from .weight import IntervalQ
 
 #: Largest N for the point set {a/N : a in Z_N*}: its phi(N) < 10^6 points
-#: take about 190 MB and 2 s to build and sweep on one CPU.
+#: take about 160 MB and 1.5 s to build and sweep on one CPU.
 DISCREPANCY_LIMIT = 10 ** 6
 
 
@@ -99,7 +99,8 @@ def star_discrepancy(ps: PointSet) -> DiscrepancyReport:
     M, L = len(ps), ps.scale
     if M == 0:
         raise EmptySet("star discrepancy needs at least one point")
-    best, witness = -M * L, None
+    best = -M * L
+    witness = None
     for i, x in enumerate(ps.values, start=1):
         over = i * L - x * M
         under = x * M - (i - 1) * L
@@ -109,8 +110,9 @@ def star_discrepancy(ps: PointSet) -> DiscrepancyReport:
             # [0, 0) is empty, so x = 0 takes [0, 0]
             best, witness = under, (x, x == 0)
     x, hi_closed = witness
-    return DiscrepancyReport(Fraction(best, M * L), IntervalQ(
-        Fraction(0), Fraction(x, L), True, hi_closed))
+    return DiscrepancyReport(Fraction(best, M * L),
+                             IntervalQ(Fraction(0), Fraction(x, L), True,
+                                       hi_closed))
 
 
 def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
@@ -123,8 +125,9 @@ def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
     side is maximized by an open interval with endpoints among the point
     values and the range endpoints, split the same way.
 
-    Both sweeps score at scale M * L (see the module docstring) over the
-    levels lo, each distinct point value inside, and hi: O(M log M).
+    Both sweeps score their terms at scale M * L (see the module
+    docstring).  The counts come from one pass over the sorted numerators,
+    so the cost is O(M).
     """
     M = len(ps)
     if M == 0:
@@ -137,14 +140,22 @@ def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
     k = L // ps.scale
     V = [v * k for v in ps.values] if k > 1 else ps.values
     lo, hi = int(rng.lo * L), int(rng.hi * L)
-    vs = [lo, *dict.fromkeys(V[bisect_right(V, lo):bisect_left(V, hi)]), hi]
-    # no point lies between two levels, so #<v is #<=v of the level before
-    le = list(map(bisect_right, repeat(V), vs))
-    levels = list(zip(vs, [bisect_left(V, lo), *le], le))
-    best, witness = -M * L, None
+    # levels (v, #V < v, #V <= v) for lo, each distinct point value v with
+    # lo < v < hi, and hi; #V <= v is the position after the last copy of v,
+    # and no point lies between two levels, so #V < v is #V <= v of the
+    # level before
+    i, j = bisect_right(V, lo), bisect_left(V, hi)
+    levels = [(lo, bisect_left(V, lo), i)]
+    for n in range(i, j):
+        if n + 1 == j or V[n + 1] != V[n]:
+            levels.append((V[n], levels[-1][2], n + 1))
+    levels.append((hi, levels[-1][2], bisect_right(V, hi)))
+    best = -M * L
+    witness = None
 
     # excess: closed [v_i, v_j], i <= j, over point values inside rng
-    best_b, best_lo = -10 * M * L, None
+    best_b = -10 * M * L
+    best_lo = None
     for v, lt, le in levels:
         if lt == le or (v == lo and not rng.lo_closed) or (
                 v == hi and not rng.hi_closed):
@@ -158,7 +169,8 @@ def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
             witness = (best_lo, v, True)
 
     # deficit: open (lo, hi)
-    best_d, best_lo = -10 * M * L, None
+    best_d = -10 * M * L
+    best_lo = None
     for v, lt, le in levels:
         # the open interval needs lo < hi, so score hi = v against the best
         # lo seen strictly earlier before admitting v as a lo candidate
@@ -171,8 +183,9 @@ def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
         if d > best_d:
             best_d, best_lo = d, v
     w_lo, w_hi, closed = witness
-    return DiscrepancyReport(Fraction(best, M * L), IntervalQ(
-        Fraction(w_lo, L), Fraction(w_hi, L), closed, closed))
+    return DiscrepancyReport(Fraction(best, M * L),
+                             IntervalQ(Fraction(w_lo, L), Fraction(w_hi, L),
+                                       closed, closed))
 
 
 def reduced_fraction_discrepancy(N: int, rng: IntervalQ) -> DiscrepancyReport:

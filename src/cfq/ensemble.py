@@ -457,8 +457,9 @@ def thm_harness(N: int, which: str, t_values: Optional[list] = None,
         raise InvalidSpec(f"harness needs N >= 3, got {N}")
     logN = math.log(N)
     if which == "T3":
-        summary = scan(N, StatSpec("L", b=b, c=c), workers=workers)
-        mu = mu_window(b, c)
+        spec = StatSpec("L", b=b, c=c)
+        mu = mu_window(b, c)  # checks the window limit before the scan
+        summary = scan(N, spec, workers=workers)
         ratio = summary.mean / (mu * logN)
         return {"theorem": "T3", "N": N, "b": b, "c": c,
                 "mean": summary.mean, "variance": summary.variance,

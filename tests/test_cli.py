@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -136,6 +139,22 @@ def test_output_file(tmp_path, capsys):
     code = main(["-o", str(path), "expand", "10", "7"])
     assert code == 0
     assert json.loads(path.read_text())["S"] == 6
+
+
+def test_output_file_not_regular(tmp_path, capsys):
+    # a FIFO at PATH is written through, not replaced by a regular file
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    code = main(["-o", str(fifo), "expand", "10", "7"])
+    reader.join(timeout=10)
+    assert code == 0
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert json.loads(got[0])["S"] == 6
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
 
 @pytest.mark.parametrize("max_digit", ["-3", "0"])

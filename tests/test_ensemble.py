@@ -13,7 +13,7 @@ from cfq.ensemble import (StatSpec, constants, digit_histogram,
 from cfq.errors import InvalidSpec, LimitExceeded
 from cfq.core import alt_sum, count_in, windowed_sum
 from cfq.dedekind import dedekind_scaled
-from cfq.ensemble import PI2, _representatives
+from cfq.ensemble import HISTOGRAM_LIMIT, PI2, _representatives
 from cfq.weight import weight_row_at
 
 
@@ -156,7 +156,7 @@ def test_constants_examples():
         constants(WeightFn.from_table([0, 0], start=1), Window(1, 2), 1, 1)
 
 
-def test_harness_shapes():
+def test_harness_shapes(monkeypatch):
     r = thm_harness(10007, "T3", b=1, c=1)
     assert r["ok"] and abs(r["ratio"] - 1) <= 0.10
     r = thm_harness(10007, "T2", [2.0, 4.0])
@@ -167,6 +167,10 @@ def test_harness_shapes():
     assert all(row["product"] <= 3 for row in r["rows"])
     with pytest.raises(InvalidSpec):
         thm_harness(10007, "T9")
+    # a T3 window over the limit is rejected before Z_N* is scanned
+    monkeypatch.setattr("cfq.ensemble.scan", None)
+    with pytest.raises(LimitExceeded):
+        thm_harness(10007, "T3", b=1, c=HISTOGRAM_LIMIT + 1)
 
 
 def test_tail_monotone_in_t():
