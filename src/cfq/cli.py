@@ -145,13 +145,20 @@ def cmd_scan(args, out) -> int:
     _check_range("scan", args.range)
     if args.stat == "L" and (args.b is None or args.c is None):
         _usage_error("scan: --stat L needs --b and --c")
+    if args.stat == "restricted" and args.eta is None:
+        _usage_error("scan: --stat restricted needs --eta")
+    thresholds = args.t or []
+    labels = [f"tail@{t:g}" for t in thresholds]
+    if (len(set(labels)) < len(labels)
+            or len(set(thresholds)) < len(thresholds)):
+        _usage_error("scan: --t thresholds must differ in value and in "
+                     f"their columns, got {', '.join(labels)}")
     lo, hi = args.range or (args.N, args.N)
     if max(hi, hi - lo + 1) > SCAN_LIMIT:
         raise LimitExceeded(f"scan capped at N = {SCAN_LIMIT} and at "
                             f"{SCAN_LIMIT} values of N")
     workers = _workers("scan", args)
     spec = _spec_from_args(args)
-    thresholds = args.t or []
     header_done = False
     for N in range(lo, hi + 1):
         summary = scan(N, spec, thresholds=thresholds, workers=workers)

@@ -103,9 +103,10 @@ def _interval(pair: _Pair, m: int) -> IntervalQ:
     return IntervalQ(e2, e1, False, m > 1)
 
 
-def _measure(pair: _Pair, m: int) -> Fraction:
+def _measure(pair: _Pair, m: int, weight: Rational = 1) -> Fraction:
+    """weight times the measure 1/((m Q + Q') ((m+1) Q + Q')), one Fraction."""
     _, Q, _, Q1 = pair
-    return Fraction(1, (m * Q + Q1) * ((m + 1) * Q + Q1))
+    return Fraction(weight, (m * Q + Q1) * ((m + 1) * Q + Q1))
 
 
 def interval_I(b: int, k: int, m: int) -> IntervalQ:
@@ -151,22 +152,22 @@ def weight_hits(b: int, k: int, x) -> list[int]:
 def _hits_at_fraction(b: int, k: int, a: int, N: int) -> tuple[int, ...]:
     """Digit values m with a/N in I(b/k, m) or I'(b/k, m), in integers.
 
-    Candidate m values are recovered by inverting the endpoint formula
-    a/N = (t P + P') / (t Q + Q') for t, then confirmed by exact interval
-    membership; the cost is independent of the window size.  Comparisons
-    of a/N against interval endpoints p/q reduce to the sign of a q - N p,
-    so no Fraction objects are built and a/N need not be reduced.
+    Each family's endpoints (t P + P') / (t Q + Q') move monotonically in
+    t, and a/N equals the endpoint at t = (N P' - a Q') / (a Q - N P).
+    So m = floor(t) is the one candidate per family, found by one exact
+    floor division: a/N lies in the interval for m when m > 1 (a/N on the
+    included endpoint when t = m), or when m = 1 and t is not an integer
+    (the endpoint at t = 1 is excluded).  When a Q = N P, a/N is the
+    prefix itself, the limit t -> infinity, and lies in neither family.
+    The cost is independent of the window size, and a/N need not be
+    reduced.
     """
     hits = []
     for P, Q, P1, Q1 in prefix_convergents(b, k):
-        denom = a * Q - N * P
-        if denom == 0:
-            continue
-        base = (N * P1 - a * Q1) // denom
-        for m in range(max(1, base - 1), max(1, base) + 2):
-            c1 = a * (m * Q + Q1) - N * (m * P + P1)
-            c2 = a * ((m + 1) * Q + Q1) - N * ((m + 1) * P + P1)
-            if (c1 > 0 > c2) or (c1 < 0 < c2) or (c1 == 0 and m > 1):
+        divisor = a * Q - N * P
+        if divisor:
+            m, rem = divmod(N * P1 - a * Q1, divisor)
+            if m > 1 or (m == 1 and rem):
                 hits.append(m)
     return tuple(hits)
 
@@ -176,22 +177,17 @@ def weight_eval(b: int, k: int, x, f: WeightFn, w: Window) -> Rational:
     return windowed_sum(weight_hits(b, k, x), f, w.eta, w.theta)
 
 
-def _candidate_numerators(a: int, N: int, k: int) -> Iterable[int]:
+def weight_row_at(a: int, N: int, k: int, f: WeightFn, w: Window) -> Rational:
+    """Sum of w(b/k, a/N) over b in Z_k*."""
     # Both interval families around b/k live within 1/k^2 of b/k, so only
     # numerators b with |a k - b N| <= N/k can contribute.
     b0 = (a * k) // N
+    total: Rational = 0
     for b in range(max(1, b0 - 1), min(k, b0 + 2) + 1):
         if math.gcd(b, k) == 1:
-            yield b
-
-
-def weight_row_at(a: int, N: int, k: int, f: WeightFn, w: Window) -> Rational:
-    """Sum of w(b/k, a/N) over b in Z_k*."""
-    total: Rational = 0
-    for b in _candidate_numerators(a, N, k):
-        for m in _hits_at_fraction(b, k, a, N):
-            if w.contains(m):
-                total += f(m)
+            for m in _hits_at_fraction(b, k, a, N):
+                if w.contains(m):
+                    total += f(m)
     return total
 
 
@@ -237,18 +233,42 @@ def integral_row(k: int, f: WeightFn, w: Window) -> tuple[Fraction, float]:
     """
     theta = w.finite_theta()
     f.validate_on(w)
+    weights = [(m, fm) for m in range(w.eta, theta + 1) if (fm := f(m))]
     exact = Fraction(0)
     phi_k = 0
     for b in range(1, k + 1):  # Z_k*, which is {1} for k = 1
         if math.gcd(b, k) != 1:
             continue
         phi_k += 1
-        for m in range(w.eta, theta + 1):
-            exact += Fraction(f(m)) * (measure_I(b, k, m) + measure_Iprime(b, k, m))
+        for pair in prefix_convergents(b, k):
+            for m, fm in weights:
+                exact += _measure(pair, m, fm)
     main = (2 * phi_k / k ** 2) * sum(
         float(f(m)) * math.log1p(1 / (m * (m + 2)))
         for m in range(w.eta, theta + 1))
     return exact, main
+
+
+def _bijection_rhs(k: int, f: WeightFn, w: Window) -> Fraction:
+    """The row integral with q_{s-1}/k replaced by b/k over Z_k*.
+
+    Sums f(m)/k^2 (1/((m + x)(m + 1 + x)) + 1/((m + 1 - x)(m + 2 - x)))
+    at x = b/k over the window, each term one Fraction of integers.
+    """
+    kk = k * k
+    rhs = Fraction(0)
+    for m in range(w.eta, w.finite_theta() + 1):
+        fm = f(m)
+        if not fm:
+            continue
+        acc = Fraction(0)
+        for b in range(1, k):
+            if math.gcd(b, k) != 1:
+                continue
+            acc += Fraction(kk, (m * k + b) * ((m + 1) * k + b))
+            acc += Fraction(kk, ((m + 1) * k - b) * ((m + 2) * k - b))
+        rhs += Fraction(fm, kk) * acc
+    return rhs
 
 
 def bijection_identity_check(k: int, f: WeightFn, w: Window) -> bool:
@@ -259,21 +279,8 @@ def bijection_identity_check(k: int, f: WeightFn, w: Window) -> bool:
     """
     if k < 2:
         raise NotCoprime("bijection identity needs k >= 2")
-    theta = w.finite_theta()
     lhs, _ = integral_row(k, f, w)
-    rhs = Fraction(0)
-    for m in range(w.eta, theta + 1):
-        fm = Fraction(f(m))
-        if fm == 0:
-            continue
-        acc = Fraction(0)
-        for b in range(1, k):
-            if math.gcd(b, k) != 1:
-                continue
-            bk = Fraction(b, k)
-            acc += 1 / ((m + bk) * (m + 1 + bk)) + 1 / ((m + 1 - bk) * (m + 2 - bk))
-        rhs += fm / k ** 2 * acc
-    return lhs == rhs
+    return lhs == _bijection_rhs(k, f, w)
 
 
 def weight_step_pieces(b: int, k: int, f: WeightFn, w: Window) -> list[tuple[IntervalQ, Rational]]:

@@ -194,6 +194,10 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     (["scan", "10", "--t", "1,-inf"], 2, "--t"),
     (["constants", "--theta", str(10 ** 8)], 4, "100000 digits"),
     (["constants", "--c", str(10 ** 8)], 4, "100000 digits"),
+    (["scan", "10", "--t", "2,2", "--format", "csv"], 2, "--t"),
+    (["scan", "10", "--t", "2,2.0000001"], 2, "--t"),
+    (["scan", "10", "--t", "0,-0", "--format", "csv"], 2, "--t"),
+    (["scan", "101", "--stat", "restricted"], 2, "--eta"),
 ])
 def test_bad_input_exit_codes(capsys, argv, code, message):
     try:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from cfq.core import ReducedFraction, WeightFn, Window, cf_digits, evaluate_digits
 from cfq.errors import BadDigit, InvalidWindow, NotCoprime
-from cfq.weight import (IntervalQ, _hits_at_fraction, _interval,
-                        bijection_identity_check, counting_identity_check,
+from cfq.weight import (IntervalQ, _bijection_rhs, _hits_at_fraction,
+                        _interval, bijection_identity_check, counting_identity_check,
                         integral_row, interval_I, interval_Iprime,
                         interval_left, measure_I, measure_Iprime,
                         prefix_convergents, row_sum, weight_eval, weight_hits,
@@ -158,6 +158,88 @@ def test_integer_hits_match_fraction_hits():
         a = random.randint(1, N - 1)
         assert sorted(weight_hits(b, k, Fraction(a, N))) == \
             sorted(fraction_hits(b, k, Fraction(a, N))), (b, k, a, N)
+
+
+def three_candidate_hits(pairs, a, N):
+    """The earlier integer hit search on the convergent pairs of b/k:
+    floor of the inverted endpoint formula, then the candidates
+    base - 1 .. base + 1 checked against both endpoints by the signs of
+    a q - N p, which is linear in m.  Returns the hits and whether a/N
+    is the included endpoint of one of them."""
+    hits = []
+    on_endpoint = False
+    for P, Q, P1, Q1 in pairs:
+        denom = a * Q - N * P
+        if denom == 0:
+            continue
+        num = N * P1 - a * Q1
+        base = num // denom
+        for m in range(max(1, base - 1), max(1, base) + 2):
+            c1 = m * denom - num  # a (m Q + Q') - N (m P + P')
+            c2 = c1 + denom
+            if (c1 > 0 > c2) or (c1 < 0 < c2) or (c1 == 0 and m > 1):
+                hits.append(m)
+                on_endpoint = on_endpoint or c1 == 0
+    return tuple(hits), on_endpoint
+
+
+def test_divmod_hits_match_three_candidates():
+    # every prefix b/k with k <= 12 against every a/N, 2 <= N <= 80,
+    # reduced or not; the uncached function keeps the cache small
+    hits_at = _hits_at_fraction.__wrapped__
+    endpoints, digits = 0, set()
+    for k in range(1, 13):
+        for b in range(1, k + 1):
+            if math.gcd(b, k) != 1 or (b == k and k > 1):
+                continue
+            pairs = prefix_convergents(b, k)
+            for N in range(2, 81):
+                for a in range(1, N):
+                    ref, on_endpoint = three_candidate_hits(pairs, a, N)
+                    assert hits_at(b, k, a, N) == ref, (b, k, a, N)
+                    endpoints += on_endpoint
+                    digits.update(ref)
+    # the grid holds included endpoints, hits with m = 1 and with m > 1
+    assert endpoints and 1 in digits and max(digits) > 1
+
+
+DIFF_WEIGHTS = (
+    (WeightFn.one(), Window(1, 5)),
+    (WeightFn.identity(), Window(2, 6)),
+    (WeightFn.from_table([Fraction(1, 3), Fraction(1, 2), 2, Fraction(7, 2),
+                          5], start=2), Window(2, 6)),
+)
+
+
+def test_integral_row_matches_fraction_form():
+    for k in range(1, 41):
+        for f, w in DIFF_WEIGHTS:
+            ref = Fraction(0)
+            for b in range(1, k + 1):
+                if math.gcd(b, k) != 1:
+                    continue
+                for m in range(w.eta, w.theta + 1):
+                    ref += Fraction(f(m)) * (measure_I(b, k, m)
+                                             + measure_Iprime(b, k, m))
+            assert integral_row(k, f, w)[0] == ref, (k, f.kind)
+
+
+def test_bijection_rhs_matches_fraction_form():
+    for k in range(2, 41):
+        for f, w in DIFF_WEIGHTS:
+            ref = Fraction(0)
+            for m in range(w.eta, w.theta + 1):
+                fm = Fraction(f(m))
+                acc = Fraction(0)
+                for b in range(1, k):
+                    if math.gcd(b, k) != 1:
+                        continue
+                    bk = Fraction(b, k)
+                    acc += (1 / ((m + bk) * (m + 1 + bk))
+                            + 1 / ((m + 1 - bk) * (m + 2 - bk)))
+                ref += fm / k ** 2 * acc
+            assert _bijection_rhs(k, f, w) == ref, (k, f.kind)
+            assert bijection_identity_check(k, f, w)
 
 
 def test_weight_eval_window_filter():
