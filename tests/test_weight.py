@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from cfq.core import ReducedFraction, WeightFn, Window, cf_digits, evaluate_digits
 from cfq.errors import BadDigit, InvalidWindow, NotCoprime
 from cfq.weight import (IntervalQ, _bijection_rhs, _hits_at_fraction,
-                        _interval, bijection_identity_check, counting_identity_check,
-                        integral_row, interval_I, interval_Iprime,
-                        interval_left, measure_I, measure_Iprime,
-                        prefix_convergents, row_sum, weight_eval, weight_hits,
-                        weight_row_at, weight_step_pieces)
+                        _interval, bijection_identity_check,
+                        counting_identity_check, integral_row, interval_I,
+                        interval_Iprime, interval_left, measure_I,
+                        measure_Iprime, prefix_convergents, row_sum,
+                        weight_eval, weight_hits, weight_row_at,
+                        weight_step_pieces)
 
 
 def brute_hits(b, k, x, m_max):
