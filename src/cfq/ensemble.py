@@ -113,8 +113,9 @@ class EnsembleSummary:
     """Exact moments and tail counts of one statistic over Z_N*.
 
     Accumulators are kept at an integer scale so Dedekind sums (denominator
-    dividing 24N) stay exact: the statistic's value is raw/scale.  Histogram
-    keys are the exact values, Fraction(raw, scale) for D.
+    dividing 24N) stay exact: the statistic's value is raw/scale.  counts,
+    present when the scan asked for a histogram, maps each raw value to its
+    number of members; histogram is its view keyed by the exact values.
     """
 
     N: int
@@ -125,7 +126,7 @@ class EnsembleSummary:
     sum_scaled: Rational
     sumsq_scaled: Rational
     tail_counts: dict
-    histogram: Optional[dict]
+    counts: Optional[dict]
     center: float
     absolute: bool
 
@@ -148,6 +149,14 @@ class EnsembleSummary:
 
     def tail_fraction(self, t: float) -> float:
         return self.tail_counts[t] / self.count
+
+    @property
+    def histogram(self) -> Optional[dict]:
+        """Member counts keyed by the exact value: counts itself at scale 1,
+        Fraction(raw, scale) keys (for D) built when read."""
+        if self.counts is None or self.scale == 1:
+            return self.counts
+        return {Fraction(raw, self.scale): v for raw, v in self.counts.items()}
 
 
 def _partition(N: int, workers: int, cpus: int) -> tuple[list, int]:
@@ -300,21 +309,17 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
     total = sum(p[1] for p in parts)
     total_sq = sum(p[2] for p in parts)
     tails = {t: sum(p[3][j] for p in parts) for j, t in enumerate(thresholds)}
-    hist = None
+    counts = parts[0][4]  # None without a histogram
     if with_histogram:
-        raws: dict = {}
-        for p in parts:
+        for p in parts[1:]:
             for raw, v in p[4].items():
-                raws[raw] = raws.get(raw, 0) + v
-        # merged first, so each Fraction key is built and hashed once
-        hist = raws if scale == 1 else {Fraction(raw, scale): v
-                                        for raw, v in raws.items()}
+                counts[raw] = counts.get(raw, 0) + v
     phi = euler_phi(N)
     if count != phi:
         raise InvariantError(f"scan visited {count} numerators, phi({N}) = {phi}")
     return EnsembleSummary(N=N, phi=phi, spec=spec, count=count, scale=scale,
                            sum_scaled=total, sumsq_scaled=total_sq,
-                           tail_counts=tails, histogram=hist,
+                           tail_counts=tails, counts=counts,
                            center=center, absolute=absolute)
 
 
@@ -442,6 +447,17 @@ def mu_window(b: int, c: int) -> float:
                             for m in range(b, c + 1))
 
 
+def digit_sum_center(N: int) -> float:
+    """(12/pi^2) ln N ln ln N, the main term of S(a/N) over Z_N* (T1)."""
+    logN = math.log(N)
+    return (12 / PI2) * logN * math.log(logN)
+
+
+def hensley_limit(t: float) -> float:
+    """1 - e^{-12/(pi^2 t)}, Hensley's limit of P(M >= t ln N) over F_Q."""
+    return 1 - math.exp(-12 / (PI2 * t))
+
+
 def thm_harness(N: int, which: str, t_values: Optional[list] = None,
                 b: int = 1, c: int = 1, workers: int = 1) -> dict:
     """Empirical tail/mean reports against the four ensemble theorems.
@@ -467,7 +483,7 @@ def thm_harness(N: int, which: str, t_values: Optional[list] = None,
                 "ok": abs(ratio - 1) <= 0.10}
     t_values = list(t_values or [2.0, 4.0, 8.0])
     if which == "T1":
-        center = (12 / PI2) * logN * math.log(logN)
+        center = digit_sum_center(N)
         summary = scan(N, StatSpec("S"), thresholds=t_values, workers=workers,
                        center=center, absolute=True)
         rows = [{"t": t, "fraction": summary.tail_fraction(t),
@@ -481,7 +497,7 @@ def thm_harness(N: int, which: str, t_values: Optional[list] = None,
             frac = summary.tail_fraction(t)
             bound = 12 / (PI2 * t)
             rows.append({"t": t, "fraction": frac, "bound": bound,
-                         "hensley": 1 - math.exp(-12 / (PI2 * t)),
+                         "hensley": hensley_limit(t),
                          "in_band": 0.7 * bound <= frac <= 1.25 * bound})
         fracs = [r["fraction"] for r in rows]
         mono = all(u >= v for u, v in zip(fracs, fracs[1:]))

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .core import ReducedFraction
-from .ensemble import StatSpec, scan
+from .ensemble import StatSpec, digit_sum_center, hensley_limit, scan
 from .errors import BadRange, LimitExceeded
 
-PI2 = math.pi ** 2
 #: Largest order Q of the limit-law comparisons: F_Q has about
 #: 3 Q^2 / pi^2 members (3 * 10^7 at the limit), scanned Z_N* by Z_N*.
 FAREY_LIMIT = 10 ** 4
@@ -37,14 +36,15 @@ def enumerate_farey(Q: int):
         x0, y0, x1, y1 = x1, y1, k * x1 - x0, k * y1 - y0
 
 
-def _histograms(Q: int, kind: str):
-    """F_Q without 1/2 as (N, ensemble.scan value histogram of kind over
-    Z_N*) for 3 <= N <= Q.  Q is checked at the call, not at the first N."""
+def _scans(Q: int, kind: str):
+    """F_Q without 1/2 as the ensemble.scan summaries of kind over Z_N*,
+    with histogram counts, for 3 <= N <= Q.  Q is checked at the call, not
+    at the first N."""
     if Q < 3:
         raise BadRange(f"need Q >= 3, got {Q}")
     if Q > FAREY_LIMIT:
         raise LimitExceeded(f"Farey order capped at Q = {FAREY_LIMIT}")
-    return ((N, scan(N, StatSpec(kind), with_histogram=True).histogram)
+    return (scan(N, StatSpec(kind), with_histogram=True)
             for N in range(3, Q + 1))
 
 
@@ -53,16 +53,16 @@ def hensley_tail(Q: int, t: float) -> tuple[float, float]:
 
     Members with N = 2 are skipped.
     """
-    histograms = _histograms(Q, "M")
+    scans = _scans(Q, "M")
     if t <= 0:
         raise BadRange(f"need t > 0, got {t}")
     hits = total = 0
-    for N, hist in histograms:
-        for m, mult in hist.items():
+    for summary in scans:
+        for m, mult in summary.counts.items():
             total += mult
-            if m >= t * math.log(N):
+            if m >= t * math.log(summary.N):
                 hits += mult
-    return hits / total, 1 - math.exp(-12 / (PI2 * t))
+    return hits / total, hensley_limit(t)
 
 
 def cauchy_cdf(x: float) -> float:
@@ -86,15 +86,14 @@ def vardi_sample(Q: int, probes: tuple = (-4.0, -2.0, -1.0, -0.5, 0.0,
     Report-only: empirical CDF at the probe points and the sup distance
     over those probes.  Members with N = 2 are skipped.
     """
-    histograms = _histograms(Q, "D")
+    scans = _scans(Q, "D")
     probes = tuple(sorted(probes))
     below = [0] * len(probes)
     total = 0
-    for N, hist in histograms:
-        for d, mult in hist.items():
+    for summary in scans:
+        for raw, mult in summary.counts.items():  # D = raw/scale
             total += mult
-            raw = d.numerator * (24 * N // d.denominator)  # D = raw/(24N)
-            v = 2 * math.pi * raw / (24 * N * math.log(N))
+            v = 2 * math.pi * raw / (summary.scale * math.log(summary.N))
             for j, p in enumerate(probes):
                 if v <= p:
                     below[j] += mult
@@ -112,10 +111,10 @@ def bd_tail(Q: int, t: float) -> tuple[float, float]:
     t * fraction).  Report-only; members with N = 2 are skipped.
     """
     hits = total = 0
-    for N, hist in _histograms(Q, "S"):
-        logN = math.log(N)
-        center = (12 / PI2) * logN * math.log(logN)
-        for s, mult in hist.items():
+    for summary in _scans(Q, "S"):
+        logN = math.log(summary.N)
+        center = digit_sum_center(summary.N)
+        for s, mult in summary.counts.items():
             total += mult
             if (s - center) / logN >= t:
                 hits += mult

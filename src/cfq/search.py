@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ensemble import _representatives
+from .ensemble import _representatives, digit_sum_center
 from .errors import BadRange, InvariantError, LimitExceeded
 
 #: Full enumeration only; beyond this denominator the scans refuse to run.
@@ -62,8 +62,7 @@ def min_sum(N: int) -> ExtremalRecord:
         s = sum(digits)
         if s < best:
             best, best_a = s, a
-    bound = (12 / math.pi ** 2) * math.log(N) * math.log(math.log(N)) \
-        if N >= 3 else float("inf")
+    bound = digit_sum_center(N) if N >= 3 else float("inf")
     return ExtremalRecord(N=N, argmin_a=best_a, min_value=best,
                           bound_value=bound, bound_holds=best <= bound)
 

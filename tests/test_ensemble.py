@@ -232,6 +232,23 @@ def test_dedekind_histogram_keys_are_exact():
                                             with_histogram=True).histogram)
 
 
+def test_dedekind_histogram_keys_are_built_when_read(monkeypatch):
+    from cfq.farey import vardi_sample
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr("cfq.ensemble.Fraction", counting_fraction)
+    s = scan(101, StatSpec("D"), with_histogram=True)
+    vardi_sample(30)
+    assert built == []
+    hist = s.histogram
+    assert len(built) == len(s.counts) > 0
+    assert hist == {Fraction(raw, s.scale): v for raw, v in s.counts.items()}
+
+
 def test_scan_histograms_match_core_statistics():
     cases = [
         (StatSpec("S"), stat_sum),
