@@ -164,13 +164,11 @@ def cmd_scan(args, out) -> int:
         summary = scan(N, spec, thresholds=thresholds, workers=workers)
         rec = _summary_record(summary)
         if args.format == "csv":
-            cols = ["N", "phi", "stat", "mean", "variance"] + \
-                [f"tail@{t:g}" for t in sorted(thresholds)]
             if not header_done:
-                _emit(out, ",".join(cols))
+                _emit(out, ",".join(rec))
                 header_done = True
-            _emit(out, ",".join(repr(rec[c]) if isinstance(rec[c], float)
-                                else str(rec[c]) for c in cols))
+            _emit(out, ",".join(repr(v) if isinstance(v, float) else str(v)
+                                for v in rec.values()))
         else:
             _emit(out, json.dumps(rec, sort_keys=True))
     return 0

@@ -94,8 +94,7 @@ def zaremba_scan(N_lo: int, N_hi: int, K: int) -> list[int]:
         raise BadRange(f"need 2 <= N_lo <= N_hi, got ({N_lo}, {N_hi})")
     if K < 1:
         raise BadRange(f"need K >= 1, got {K}")
-    if N_hi > SEARCH_LIMIT:
-        raise LimitExceeded(f"search capped at N = {SEARCH_LIMIT}")
+    _check_N(N_hi)
     bad = []
     for N in range(N_lo, N_hi + 1):
         for a in range(1, N):

@@ -132,6 +132,11 @@ def test_workers_do_not_change_output(capsys):
     _, out8, _ = run(capsys, "scan", "1009", "--stat", "D", "--t", "2,4",
                      "--workers", "8")
     assert out1 == out8
+    _, out1, _ = run(capsys, "scan", "--range", "2", "40", "--format", "csv",
+                     "--t", "1,2", "--workers", "1")
+    _, out8, _ = run(capsys, "scan", "--range", "2", "40", "--format", "csv",
+                     "--t", "1,2", "--workers", "8")
+    assert out1 == out8
 
 
 def test_output_file(tmp_path, capsys):
@@ -198,6 +203,8 @@ def test_gk_rejects_nonpositive_max_digit(capsys, max_digit):
     (["scan", "10", "--t", "2,2.0000001"], 2, "--t"),
     (["scan", "10", "--t", "0,-0", "--format", "csv"], 2, "--t"),
     (["scan", "101", "--stat", "restricted"], 2, "--eta"),
+    (["search", "--zaremba", "5", "--range", "2", "10000001"], 4,
+     "N = 10000000"),
 ])
 def test_bad_input_exit_codes(capsys, argv, code, message):
     try:

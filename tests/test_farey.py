@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import cfq.farey
 from cfq.core import cf_digits
 from cfq.dedekind import dedekind_scaled
 from cfq.ensemble import euler_phi
@@ -135,3 +136,25 @@ def test_laws_match_per_member_reference():
             assert bd_tail(Q, t) == _bd_ref(Q, t), (Q, t)
         for probes in (default, (1e-12, 0.0, -1e-12, -3.0, 0.25)):
             assert vardi_sample(Q, probes) == _vardi_ref(Q, probes), Q
+
+
+def test_laws_ask_scan_for_what_they_read(monkeypatch):
+    # hensley sums the scan's tail counts at t; vardi and bd read the
+    # histogram counts
+    calls = []
+    scan = cfq.farey.scan
+
+    def recording_scan(N, spec, **options):
+        calls.append((spec.kind, options))
+        return scan(N, spec, **options)
+
+    monkeypatch.setattr(cfq.farey, "scan", recording_scan)
+    assert hensley_tail(60, 2.0) == _hensley_ref(60, 2.0)
+    assert calls and all(kind == "M" and options == {"thresholds": [2.0]}
+                         for kind, options in calls)
+    for law, args, kind in ((vardi_sample, (30,), "D"),
+                            (bd_tail, (30, 1.0), "S")):
+        calls.clear()
+        law(*args)
+        assert calls and all(kind == k and options["with_histogram"]
+                             for k, options in calls)
