@@ -13,8 +13,8 @@ count_in, alt_sum, windowed_sum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InvalidFraction, InvalidWeight, InvalidWindow, LimitExceeded
@@ -27,22 +27,74 @@ MAX_DENOMINATOR = 1 << 62
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True, slots=True)
-class ReducedFraction:
+class Record:
+    """Immutable record: equal and hashed by its class and field values.
+
+    A subclass names its fields in __slots__ (at least two, so that their
+    values form a tuple) and its __init__ stores them with
+    object.__setattr__ before validating them.  Record adds the
+    Name(field=value, ...) repr, pickling and copying through __init__,
+    and AttributeError on assignment or deletion.  The records are plain
+    slotted classes rather than generated ones: importing the standard
+    library's class generator (which loads inspect) and building each
+    class through exec cost about 25 ms of the start-up of every cfq
+    command.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__) + ")")
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+class ReducedFraction(Record):
     """A reduced fraction a/N with gcd(a, N) = 1 and 0 < a/N < 1."""
 
-    a: int
-    N: int
+    __slots__ = ("a", "N")
 
-    def __post_init__(self) -> None:
-        if self.N < 2:
-            raise InvalidFraction(f"denominator must be >= 2, got {self.N}")
-        if self.N >= MAX_DENOMINATOR:
-            raise LimitExceeded(f"denominator {self.N} >= 2^62")
-        if not 1 <= self.a <= self.N - 1:
-            raise InvalidFraction(f"numerator {self.a} not in [1, {self.N - 1}]")
-        if math.gcd(self.a, self.N) != 1:
-            raise InvalidFraction(f"gcd({self.a}, {self.N}) != 1")
+    def __init__(self, a: int, N: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "N", N)
+        if N < 2:
+            raise InvalidFraction(f"denominator must be >= 2, got {N}")
+        if N >= MAX_DENOMINATOR:
+            raise LimitExceeded(f"denominator {N} >= 2^62")
+        if not 1 <= a <= N - 1:
+            raise InvalidFraction(f"numerator {a} not in [1, {N - 1}]")
+        if math.gcd(a, N) != 1:
+            raise InvalidFraction(f"gcd({a}, {N}) != 1")
+
+    # Spelled out for speed: Record's attrgetter-based == takes about
+    # 0.35 us per call on Python 3.11, these two-field tuples 0.19 us.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.N) == (other.a, other.N)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.N))
 
     def value(self) -> Fraction:
         return Fraction(self.a, self.N)
@@ -82,12 +134,15 @@ def evaluate_digits(digits: Sequence[int]) -> tuple[int, int]:
     return convergents_of(digits)[-1]
 
 
-@dataclass(frozen=True, slots=True)
-class ContinuedFraction:
+class ContinuedFraction(Record):
     """Digit list plus convergent table of one reduced fraction."""
 
-    digits: tuple[int, ...]
-    convergents: tuple[tuple[int, int], ...]
+    __slots__ = ("digits", "convergents")
+
+    def __init__(self, digits: tuple[int, ...],
+                 convergents: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "convergents", convergents)
 
     @property
     def length(self) -> int:
@@ -111,18 +166,18 @@ def expand(frac: ReducedFraction) -> ContinuedFraction:
     return ContinuedFraction(tuple(digits), tuple(convergents_of(digits)))
 
 
-@dataclass(frozen=True, slots=True)
-class Window:
+class Window(Record):
     """Digit window [eta, theta]; theta=None means no upper cutoff."""
 
-    eta: int
-    theta: Optional[int] = None
+    __slots__ = ("eta", "theta")
 
-    def __post_init__(self) -> None:
-        if self.eta < 1:
-            raise InvalidWindow(f"eta must be >= 1, got {self.eta}")
-        if self.theta is not None and self.theta < self.eta:
-            raise InvalidWindow(f"need eta <= theta, got ({self.eta}, {self.theta})")
+    def __init__(self, eta: int, theta: Optional[int] = None) -> None:
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "theta", theta)
+        if eta < 1:
+            raise InvalidWindow(f"eta must be >= 1, got {eta}")
+        if theta is not None and theta < eta:
+            raise InvalidWindow(f"need eta <= theta, got ({eta}, {theta})")
 
     def contains(self, m: int) -> bool:
         if m < self.eta:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Rational
+from .core import Rational, Record
 from .errors import BadRange, BadSpec, EmptySet, LimitExceeded
 from .weight import IntervalQ
 
@@ -31,18 +30,17 @@ from .weight import IntervalQ
 DISCREPANCY_LIMIT = 10 ** 6
 
 
-@dataclass(frozen=True, slots=True)
-class PointSet:
+class PointSet(Record):
     """Multiset of the points v / scale in [0, 1], v in sorted values."""
 
-    scale: int
-    values: tuple[int, ...]
+    __slots__ = ("scale", "values")
 
-    def __post_init__(self) -> None:
-        V = self.values
-        if self.scale < 1 or list(V) != sorted(V):
+    def __init__(self, scale: int, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "values", values)
+        if scale < 1 or list(values) != sorted(values):
             raise BadRange("need scale >= 1 and sorted values")
-        if V and not 0 <= V[0] <= V[-1] <= self.scale:
+        if values and not 0 <= values[0] <= values[-1] <= scale:
             raise BadRange("points must lie in [0, 1]")
 
     @property
@@ -82,10 +80,12 @@ class PointSet:
         return bisect_right(self.values, hi) - bisect_right(self.values, lo)
 
 
-@dataclass(frozen=True, slots=True)
-class DiscrepancyReport:
-    value: Fraction
-    witness: IntervalQ
+class DiscrepancyReport(Record):
+    __slots__ = ("value", "witness")
+
+    def __init__(self, value: Fraction, witness: IntervalQ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
 
 def _scaled(values: Sequence[Rational]) -> tuple[int, list[int]]:

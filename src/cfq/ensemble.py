@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .core import (ReducedFraction, Rational, WeightFn, Window, alt_sum,
-                   cf_walk, count_in, windowed_sum)
+from .core import (ReducedFraction, Rational, Record, WeightFn, Window,
+                   alt_sum, cf_walk, count_in, windowed_sum)
 from .errors import InvalidSpec, InvariantError, InvalidWindow, LimitExceeded
 from .dedekind import closed_form
 
@@ -49,28 +48,31 @@ HISTOGRAM_LIMIT = 10 ** 5
 MARK_BLOCK = 1 << 22
 
 
-@dataclass(frozen=True)
-class StatSpec:
+class StatSpec(Record):
     """Statistic selector: S, M, L (needs b, c), S_alt, D, or restricted
     (needs f, eta, theta)."""
 
-    kind: str
-    b: Optional[int] = None
-    c: Optional[int] = None
-    f: Optional[WeightFn] = None
-    eta: Optional[int] = None
-    theta: Optional[int] = None
+    __slots__ = ("kind", "b", "c", "f", "eta", "theta")
 
-    def __post_init__(self) -> None:
-        if self.kind not in STAT_KINDS:
-            raise InvalidSpec(f"unknown statistic {self.kind!r}")
-        if self.kind == "L":
-            if self.b is None or self.c is None or self.b < 1 or self.b > self.c:
-                raise InvalidSpec(f"L needs 1 <= b <= c, got ({self.b}, {self.c})")
-        if self.kind == "restricted":
-            if self.f is None or self.eta is None:
+    def __init__(self, kind: str, b: Optional[int] = None,
+                 c: Optional[int] = None, f: Optional[WeightFn] = None,
+                 eta: Optional[int] = None,
+                 theta: Optional[int] = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "theta", theta)
+        if kind not in STAT_KINDS:
+            raise InvalidSpec(f"unknown statistic {kind!r}")
+        if kind == "L":
+            if b is None or c is None or b < 1 or b > c:
+                raise InvalidSpec(f"L needs 1 <= b <= c, got ({b}, {c})")
+        if kind == "restricted":
+            if f is None or eta is None:
                 raise InvalidSpec("restricted needs a weight and a window")
-            Window(self.eta, self.theta)
+            Window(eta, theta)
 
     def label(self) -> str:
         if self.kind == "L":
@@ -108,9 +110,9 @@ def enumerate_coprime(N: int):
             yield ReducedFraction(a, N)
 
 
-@dataclass
-class EnsembleSummary:
-    """Exact moments and tail counts of one statistic over Z_N*.
+class EnsembleSummary(Record):
+    """Exact moments and tail counts of one statistic over Z_N*, immutable
+    like every record (its fields cannot be reassigned).
 
     Accumulators are kept at an integer scale so Dedekind sums (denominator
     dividing 24N) stay exact: the statistic's value is raw/scale.  counts,
@@ -118,17 +120,25 @@ class EnsembleSummary:
     number of members; histogram is its view keyed by the exact values.
     """
 
-    N: int
-    phi: int
-    spec: StatSpec
-    count: int
-    scale: int
-    sum_scaled: Rational
-    sumsq_scaled: Rational
-    tail_counts: dict
-    counts: Optional[dict]
-    center: float
-    absolute: bool
+    __slots__ = ("N", "phi", "spec", "count", "scale", "sum_scaled",
+                 "sumsq_scaled", "tail_counts", "counts", "center",
+                 "absolute")
+
+    def __init__(self, N: int, phi: int, spec: StatSpec, count: int,
+                 scale: int, sum_scaled: Rational, sumsq_scaled: Rational,
+                 tail_counts: dict, counts: Optional[dict], center: float,
+                 absolute: bool) -> None:
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "sum_scaled", sum_scaled)
+        object.__setattr__(self, "sumsq_scaled", sumsq_scaled)
+        object.__setattr__(self, "tail_counts", tail_counts)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "absolute", absolute)
 
     @property
     def exact_mean(self) -> Fraction:
@@ -392,15 +402,18 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
             "last_counts": last, "interior_freq": interior}
 
 
-@dataclass(frozen=True)
-class TheoremConstants:
-    A: float
-    B: float
-    C: float
-    D: float
-    Dprime: float
-    Xi: float
-    mu: float
+class TheoremConstants(Record):
+    __slots__ = ("A", "B", "C", "D", "Dprime", "Xi", "mu")
+
+    def __init__(self, A: float, B: float, C: float, D: float,
+                 Dprime: float, Xi: float, mu: float) -> None:
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "Dprime", Dprime)
+        object.__setattr__(self, "Xi", Xi)
+        object.__setattr__(self, "mu", mu)
 
 
 def constants(f: WeightFn, w: Window, b: int, c: int) -> TheoremConstants:

@@ -12,9 +12,8 @@ so the normalization is never degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ReducedFraction
+from .core import ReducedFraction, Record
 from .ensemble import StatSpec, digit_sum_center, hensley_limit, scan
 from .errors import BadRange, LimitExceeded
 
@@ -68,14 +67,19 @@ def cauchy_cdf(x: float) -> float:
     return 0.5 + math.atan(x) / math.pi
 
 
-@dataclass(frozen=True)
-class VardiReport:
-    Q: int
-    count: int
-    probes: tuple[float, ...]
-    empirical_cdf: tuple[float, ...]
-    cauchy_cdf: tuple[float, ...]
-    sup_distance: float
+class VardiReport(Record):
+    __slots__ = ("Q", "count", "probes", "empirical_cdf", "cauchy_cdf",
+                 "sup_distance")
+
+    def __init__(self, Q: int, count: int, probes: tuple[float, ...],
+                 empirical_cdf: tuple[float, ...],
+                 cauchy_cdf: tuple[float, ...], sup_distance: float) -> None:
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "empirical_cdf", empirical_cdf)
+        object.__setattr__(self, "cauchy_cdf", cauchy_cdf)
+        object.__setattr__(self, "sup_distance", sup_distance)
 
 
 def vardi_sample(Q: int, probes: tuple = (-4.0, -2.0, -1.0, -0.5, 0.0,

@@ -14,17 +14,18 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import ContinuedFraction, ReducedFraction, cf_walk, expand
+from .core import ContinuedFraction, ReducedFraction, Record, cf_walk, expand
 from .errors import WrongHalf
 
 
-@dataclass(frozen=True, slots=True)
-class ReflectionRecord:
-    source: ReducedFraction
-    image: ReducedFraction
-    half: str  # "lower" or "upper"
+class ReflectionRecord(Record):
+    __slots__ = ("source", "image", "half")
+
+    def __init__(self, source: ReducedFraction, image: ReducedFraction,
+                 half: str) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "half", half)  # "lower" or "upper"
 
 
 def reflect_lower(frac: ReducedFraction) -> ReducedFraction:

@@ -9,8 +9,8 @@ all of Z_N*, pruned at the first digit reaching a bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .core import Record
 from .ensemble import _representatives, digit_sum_center
 from .errors import BadRange, InvariantError, LimitExceeded
 
@@ -18,13 +18,16 @@ from .errors import BadRange, InvariantError, LimitExceeded
 SEARCH_LIMIT = 10 ** 7
 
 
-@dataclass(frozen=True)
-class ExtremalRecord:
-    N: int
-    argmin_a: int
-    min_value: int
-    bound_value: float
-    bound_holds: bool
+class ExtremalRecord(Record):
+    __slots__ = ("N", "argmin_a", "min_value", "bound_value", "bound_holds")
+
+    def __init__(self, N: int, argmin_a: int, min_value: int,
+                 bound_value: float, bound_holds: bool) -> None:
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "argmin_a", argmin_a)
+        object.__setattr__(self, "min_value", min_value)
+        object.__setattr__(self, "bound_value", bound_value)
+        object.__setattr__(self, "bound_holds", bound_holds)
 
 
 def _check_N(N: int) -> None:

@@ -16,29 +16,28 @@ pairs come from `prefix_convergents`, where k = 1 takes the empty prefix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .core import (ReducedFraction, Rational, WeightFn, Window, cf_digits,
-                   convergents_of, windowed_sum)
+from .core import (ReducedFraction, Rational, Record, WeightFn, Window,
+                   cf_digits, convergents_of, windowed_sum)
 from .errors import BadDigit, InvalidWindow, NotCoprime
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalQ:
+class IntervalQ(Record):
     """Rational interval with explicit endpoint inclusion flags."""
 
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi or (self.lo == self.hi
-                                 and not (self.lo_closed and self.hi_closed)):
-            raise InvalidWindow(f"empty interval ({self.lo}, {self.hi})")
+    def __init__(self, lo: Fraction, hi: Fraction, lo_closed: bool,
+                 hi_closed: bool) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_closed", lo_closed)
+        object.__setattr__(self, "hi_closed", hi_closed)
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            raise InvalidWindow(f"empty interval ({lo}, {hi})")
 
     @property
     def measure(self) -> Fraction:
