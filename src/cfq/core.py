@@ -31,20 +31,37 @@ class Record:
     """Immutable record: equal and hashed by its class and field values.
 
     A subclass names its fields in __slots__ (at least two, so that their
-    values form a tuple) and its __init__ stores them with
-    object.__setattr__ before validating them.  Record adds the
-    Name(field=value, ...) repr, pickling and copying through __init__,
-    and AttributeError on assignment or deletion.  The records are plain
-    slotted classes rather than generated ones: importing the standard
-    library's class generator (which loads inspect) and building each
-    class through exec cost about 25 ms of the start-up of every cfq
-    command.
+    values form a tuple).  Record's __init__ binds its arguments, by
+    position or keyword, to those fields; a record that validates them, or
+    that is built once per fraction, writes its own __init__, which stores
+    them with object.__setattr__ (and then checks them).  Record adds the Name(field=value, ...) repr,
+    pickling and copying through __init__, and AttributeError on
+    assignment or deletion.  The records are plain slotted classes rather
+    than generated ones: importing the standard library's class generator
+    (which loads inspect) and building each class through exec cost about
+    25 ms of the start-up of every cfq command.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"fields, got {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name, value in kwargs.items():
+            if name not in names[len(args):]:
+                raise TypeError(f"{type(self).__name__} got an unexpected "
+                                f"or repeated field {name!r}")
+            object.__setattr__(self, name, value)
+        if len(args) + len(kwargs) < len(names):
+            raise TypeError(f"{type(self).__name__} needs all of "
+                            f"{', '.join(names)}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -85,16 +102,6 @@ class ReducedFraction(Record):
             raise InvalidFraction(f"numerator {a} not in [1, {N - 1}]")
         if math.gcd(a, N) != 1:
             raise InvalidFraction(f"gcd({a}, {N}) != 1")
-
-    # Spelled out for speed: Record's attrgetter-based == takes about
-    # 0.35 us per call on Python 3.11, these two-field tuples 0.19 us.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.N) == (other.a, other.N)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.N))
 
     def value(self) -> Fraction:
         return Fraction(self.a, self.N)
@@ -139,6 +146,8 @@ class ContinuedFraction(Record):
 
     __slots__ = ("digits", "convergents")
 
+    # Built once per fraction (expand), so spelled out: Record's generic
+    # __init__ takes about twice as long.
     def __init__(self, digits: tuple[int, ...],
                  convergents: tuple[tuple[int, int], ...]) -> None:
         object.__setattr__(self, "digits", digits)

@@ -83,10 +83,6 @@ class PointSet(Record):
 class DiscrepancyReport(Record):
     __slots__ = ("value", "witness")
 
-    def __init__(self, value: Fraction, witness: IntervalQ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-
 
 def _scaled(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """(L, [x * L for x in values]) with L the lcm of their denominators."""

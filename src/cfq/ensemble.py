@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .core import (ReducedFraction, Rational, Record, WeightFn, Window,
-                   alt_sum, cf_walk, count_in, windowed_sum)
+from .core import (ReducedFraction, Record, WeightFn, Window, alt_sum,
+                   cf_walk, count_in, windowed_sum)
 from .errors import InvalidSpec, InvariantError, InvalidWindow, LimitExceeded
 from .dedekind import closed_form
 
@@ -123,22 +123,6 @@ class EnsembleSummary(Record):
     __slots__ = ("N", "phi", "spec", "count", "scale", "sum_scaled",
                  "sumsq_scaled", "tail_counts", "counts", "center",
                  "absolute")
-
-    def __init__(self, N: int, phi: int, spec: StatSpec, count: int,
-                 scale: int, sum_scaled: Rational, sumsq_scaled: Rational,
-                 tail_counts: dict, counts: Optional[dict], center: float,
-                 absolute: bool) -> None:
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "sum_scaled", sum_scaled)
-        object.__setattr__(self, "sumsq_scaled", sumsq_scaled)
-        object.__setattr__(self, "tail_counts", tail_counts)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "absolute", absolute)
 
     @property
     def exact_mean(self) -> Fraction:
@@ -404,16 +388,6 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
 
 class TheoremConstants(Record):
     __slots__ = ("A", "B", "C", "D", "Dprime", "Xi", "mu")
-
-    def __init__(self, A: float, B: float, C: float, D: float,
-                 Dprime: float, Xi: float, mu: float) -> None:
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "Dprime", Dprime)
-        object.__setattr__(self, "Xi", Xi)
-        object.__setattr__(self, "mu", mu)
 
 
 def constants(f: WeightFn, w: Window, b: int, c: int) -> TheoremConstants:

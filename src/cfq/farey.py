@@ -71,16 +71,6 @@ class VardiReport(Record):
     __slots__ = ("Q", "count", "probes", "empirical_cdf", "cauchy_cdf",
                  "sup_distance")
 
-    def __init__(self, Q: int, count: int, probes: tuple[float, ...],
-                 empirical_cdf: tuple[float, ...],
-                 cauchy_cdf: tuple[float, ...], sup_distance: float) -> None:
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "empirical_cdf", empirical_cdf)
-        object.__setattr__(self, "cauchy_cdf", cauchy_cdf)
-        object.__setattr__(self, "sup_distance", sup_distance)
-
 
 def vardi_sample(Q: int, probes: tuple = (-4.0, -2.0, -1.0, -0.5, 0.0,
                                           0.5, 1.0, 2.0, 4.0)) -> VardiReport:

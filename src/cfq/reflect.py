@@ -21,6 +21,8 @@ from .errors import WrongHalf
 class ReflectionRecord(Record):
     __slots__ = ("source", "image", "half")
 
+    # Built once per fraction (reflect), so spelled out: Record's generic
+    # __init__ takes about twice as long.
     def __init__(self, source: ReducedFraction, image: ReducedFraction,
                  half: str) -> None:
         object.__setattr__(self, "source", source)

@@ -21,14 +21,6 @@ SEARCH_LIMIT = 10 ** 7
 class ExtremalRecord(Record):
     __slots__ = ("N", "argmin_a", "min_value", "bound_value", "bound_holds")
 
-    def __init__(self, N: int, argmin_a: int, min_value: int,
-                 bound_value: float, bound_holds: bool) -> None:
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "argmin_a", argmin_a)
-        object.__setattr__(self, "min_value", min_value)
-        object.__setattr__(self, "bound_value", bound_value)
-        object.__setattr__(self, "bound_holds", bound_holds)
-
 
 def _check_N(N: int) -> None:
     if N < 2:

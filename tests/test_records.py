@@ -127,6 +127,18 @@ def test_record_contract(cls):
     assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
 
 
+def test_generic_constructor_binds_every_field_once():
+    digits, table = RECORDS[ContinuedFraction][1]
+    assert ContinuedFraction(digits, convergents=table) == ContinuedFraction(
+        convergents=table, digits=digits)
+    for args, kwargs in [((digits, table, 0), {}), ((digits,), {}),
+                         ((), {"convergents": table}),
+                         ((digits,), {"digits": digits, "convergents": table}),
+                         ((digits, table), {"length": 3})]:
+        with pytest.raises(TypeError):
+            ContinuedFraction(*args, **kwargs)
+
+
 def test_records_of_different_classes_with_equal_fields_differ():
     assert Window(2, 5) != ReducedFraction(2, 5)
     assert ReducedFraction(2, 5) != Window(2, 5)
