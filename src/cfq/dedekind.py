@@ -19,11 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import ReducedFraction, alt_sum, cf_walk, expand, stat_alt
-from .errors import InvariantError, LimitExceeded, NotCoprime
-
-#: The direct sum walks all residues once; beyond this it is pointless
-#: next to the closed form.
-DIRECT_LIMIT = 10 ** 6
+from .errors import DIRECT_LIMIT, InvariantError, LimitExceeded, NotCoprime
 
 
 def dedekind_direct(frac: ReducedFraction) -> Fraction:

@@ -22,12 +22,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Rational, Record
-from .errors import BadRange, BadSpec, EmptySet, LimitExceeded
+from .errors import (DISCREPANCY_LIMIT, BadRange, BadSpec, EmptySet,
+                     LimitExceeded)
 from .weight import IntervalQ
-
-#: Largest N for the point set {a/N : a in Z_N*}: its phi(N) < 10^6 points
-#: take about 160 MB and 1.5 s to build and sweep on one CPU.
-DISCREPANCY_LIMIT = 10 ** 6
 
 
 class PointSet(Record):

@@ -25,23 +25,13 @@ from typing import Optional
 
 from .core import (ReducedFraction, Record, WeightFn, Window, alt_sum,
                    cf_walk, count_in, windowed_sum)
-from .errors import InvalidSpec, InvariantError, InvalidWindow, LimitExceeded
+from .errors import (HISTOGRAM_LIMIT, SCAN_LIMIT, InvalidSpec, InvariantError,
+                     InvalidWindow, LimitExceeded)
 from .dedekind import closed_form
 
 PI2 = math.pi ** 2
 
 STAT_KINDS = ("S", "M", "L", "S_alt", "D", "restricted")
-
-#: Largest N of scan and digit_histogram.  Their memory stays near one
-#: MARK_BLOCK table whatever N is (21 MB at N = 10^7), but their time
-#: grows with N: 11-15 s on one CPU at 10^7, so about 2-3 min at the limit.
-SCAN_LIMIT = 10 ** 8
-
-#: Most digits m in one table or sum: the m_max of digit_histogram (each
-#: worker allocates m_max + 2 counters, and the result holds five
-#: m_max-entry tables), and the windows [eta, theta] and [b, c] that
-#: constants and mu_window sum over (under 0.5 s at 10^5 on one CPU).
-HISTOGRAM_LIMIT = 10 ** 5
 
 #: Numerators per block of a scan range: each block marks partners in a
 #: table of this many bytes, so memory stays bounded whatever N is.

@@ -49,5 +49,37 @@ class LimitExceeded(CfqError):
     """Input beyond the documented size limit of an operation."""
 
 
+# The size limits live here, beside the error they raise, so the CLI's help
+# text can quote them without loading the modules that enforce them.
+
+#: Largest N of scan and digit_histogram.  Their memory stays near one
+#: ensemble.MARK_BLOCK table whatever N is (21 MB at N = 10^7), but their
+#: time grows with N: 11-15 s on one CPU at 10^7, so about 2-3 min at the
+#: limit.
+SCAN_LIMIT = 10 ** 8
+
+#: Most digits m in one table or sum: the m_max of digit_histogram (each
+#: worker allocates m_max + 2 counters, and the result holds five
+#: m_max-entry tables), and the windows [eta, theta] and [b, c] that
+#: constants and mu_window sum over (under 0.5 s at 10^5 on one CPU).
+HISTOGRAM_LIMIT = 10 ** 5
+
+#: Full enumeration only; beyond this denominator the searches refuse to run.
+SEARCH_LIMIT = 10 ** 7
+
+#: Largest order Q of the Farey limit-law comparisons: F_Q has about
+#: 3 Q^2 / pi^2 members (3 * 10^7 at the limit), scanned Z_N* by Z_N*.
+FAREY_LIMIT = 10 ** 4
+
+#: Largest N for the discrepancy point set {a/N : a in Z_N*}: its
+#: phi(N) < 10^6 points take about 160 MB and 1.5 s to build and sweep on
+#: one CPU.
+DISCREPANCY_LIMIT = 10 ** 6
+
+#: The direct Dedekind sum walks all residues once; beyond this it is
+#: pointless next to the closed form.
+DIRECT_LIMIT = 10 ** 6
+
+
 class InvariantError(CfqError):
     """An internal consistency check failed: a bug, or unvalidated input."""

@@ -15,11 +15,7 @@ import math
 
 from .core import ReducedFraction, Record
 from .ensemble import StatSpec, digit_sum_center, hensley_limit, scan
-from .errors import BadRange, LimitExceeded
-
-#: Largest order Q of the limit-law comparisons: F_Q has about
-#: 3 Q^2 / pi^2 members (3 * 10^7 at the limit), scanned Z_N* by Z_N*.
-FAREY_LIMIT = 10 ** 4
+from .errors import FAREY_LIMIT, BadRange, LimitExceeded
 
 
 def enumerate_farey(Q: int):

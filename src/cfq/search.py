@@ -12,10 +12,7 @@ import math
 
 from .core import Record
 from .ensemble import _representatives, digit_sum_center
-from .errors import BadRange, InvariantError, LimitExceeded
-
-#: Full enumeration only; beyond this denominator the scans refuse to run.
-SEARCH_LIMIT = 10 ** 7
+from .errors import SEARCH_LIMIT, BadRange, InvariantError, LimitExceeded
 
 
 class ExtremalRecord(Record):
