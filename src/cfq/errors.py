@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all cfq modules."""
+"""Exception hierarchy and size limits shared by all cfq modules."""
 
 
 class CfqError(Exception):

@@ -87,6 +87,20 @@ def test_unknown_attribute_raises_attribute_error():
         cfq.no_such_name
 
 
+@pytest.mark.parametrize("module, name, value", [
+    ("ensemble", "SCAN_LIMIT", 10 ** 8),
+    ("ensemble", "HISTOGRAM_LIMIT", 10 ** 5),
+    ("search", "SEARCH_LIMIT", 10 ** 7),
+    ("farey", "FAREY_LIMIT", 10 ** 4),
+    ("discrepancy", "DISCREPANCY_LIMIT", 10 ** 6),
+    ("dedekind", "DIRECT_LIMIT", 10 ** 6),
+])
+def test_limits_keep_their_module_names(module, name, value):
+    errors = importlib.import_module("cfq.errors")
+    assert getattr(importlib.import_module(f"cfq.{module}"), name) == value
+    assert getattr(errors, name) == value
+
+
 def test_from_import_still_gives_the_submodules():
     from cfq import discrepancy, weight
     assert discrepancy is sys.modules["cfq.discrepancy"]
