@@ -3,7 +3,8 @@
 Machine-readable output only: JSON (one object per line, keys sorted) or
 CSV with a fixed column order.  Exact rationals are serialized as "p/q"
 strings, floats as shortest round-trip decimals.  Exit codes: 0 success,
-2 usage error, 3 domain error, 4 size limit exceeded.
+2 usage error or output that cannot be written (including a reader that
+closes stdout early), 3 domain error, 4 size limit exceeded.
 """
 
 from __future__ import annotations
@@ -375,7 +376,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not args.output:
-        return _run(args, sys.stdout)
+        try:
+            code = _run(args, sys.stdout)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # The reader closed stdout early.  Point stdout at devnull, so
+            # the flush at exit raises no second error, and exit 2.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 2
     # -o FILE, FILE missing or a regular file: the command writes into a
     # new file next to FILE, which replaces FILE on success and is deleted
     # in every other case, so a rejected command or a failed write leaves

@@ -6,13 +6,18 @@ is {a, N - a, a*, N - a*} with a* = min(a^-1, N - a^-1) = q_{r-1}(a),
 whose digits are those of a reversed, while N - a has [1, a_1 - 1, a_2,
 ..., a_r].  One walk of a (core.cf_walk) gives its digits and a*; only
 a <= a* is kept, and a* is not walked (about phi(N)/4 Euclid walks).
-The digits of a give every member's statistic, and the scan folds them
-as (value, multiplicity) pairs into exact first and second moments plus
-tail counts against thresholds that scale with ln N.  A palindrome
-(a* = a) has two members, and N = 2 the one member 1.
+The digits of a give every member's statistic as (value, multiplicity)
+pairs.  A palindrome (a* = a) has two members, and N = 2 the one member 1.
+S, M, L, S_alt and restricted take few distinct values (S 479 of 40,008
+members at N = 40009), so a worker only counts the members of each raw
+value, and the scan folds the merged counts once per value into exact
+first and second moments plus tail counts against thresholds that scale
+with ln N.  D takes about phi(N)/2 values, so a worker folds its pairs
+as they come, unless a histogram is asked for.  Either way the tail test
+is the one rule of _fold.
 Workers split the representative range [1, N/2] into contiguous ranges;
-the merge is plain addition of exact accumulators, so the result does
-not depend on the worker count.
+the merge is plain addition of exact counts or accumulators, so the
+result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 import os
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Optional
 
 from .core import (ReducedFraction, Record, WeightFn, Window, alt_sum,
@@ -240,36 +246,55 @@ def _orbit_fn(spec: StatSpec, N: int):
     return additive_pairs
 
 
+def _palindrome(pairs, a: int, N: int):
+    """The pairs of a palindrome a = a*, which _orbit_fn lists twice; for
+    N = 2 the one member 1."""
+    if 2 * a < N:
+        return [(raw, mult // 2) for raw, mult in pairs]
+    return ((pairs[0][0], 1),)
+
+
+def _fold(pairs, cuts, scale: int, center: float, absolute: bool) -> tuple:
+    """(count, sum, sum of squares, tail counts) of (raw, multiplicity)
+    pairs.  The one tail rule: raw counts toward cuts[j] when z >= cuts[j],
+    z = raw/scale - center, or |z| if absolute."""
+    count = total = total_sq = 0
+    tails = [0] * len(cuts)
+    indexed = tuple(enumerate(cuts))
+    for raw, mult in pairs:
+        count += mult
+        total += raw * mult
+        total_sq += raw * raw * mult
+        if indexed:
+            z = raw / scale - center
+            if absolute:
+                z = abs(z)
+            for j, cut in indexed:
+                if z >= cut:
+                    tails[j] += mult
+    return count, total, total_sq, tails
+
+
 def _scan_range(args):
-    (N, lo, hi, spec, thresholds, with_histogram, center, absolute,
-     scale) = args
+    """The members of the orbits of the representatives in [lo, hi): their
+    counts {raw value: members} if counted (every kind but D without a
+    histogram), else _fold of their pairs."""
+    N, lo, hi, spec, counted, fold_args = args
     orbit = _orbit_fn(spec, N)
-    logN = math.log(N)
-    cuts = [t * logN for t in thresholds]
-    tails = [0] * len(thresholds)
-    hist: Optional[dict] = {} if with_histogram else None
-    count = 0
-    total = 0
-    total_sq = 0
+    if not counted:
+        return _fold(chain.from_iterable(
+            _palindrome(orbit(a, star, d), a, N) if star == a
+            else orbit(a, star, d)
+            for a, star, d in _representatives(N, lo, hi)), *fold_args)
+    counts: dict = {}
+    get = counts.get
     for a, star, d in _representatives(N, lo, hi):
         pairs = orbit(a, star, d)
-        if star == a:  # a palindrome: pairs list each member twice
-            pairs = ([(raw, mult // 2) for raw, mult in pairs] if 2 * a < N
-                     else ((pairs[0][0], 1),))  # N = 2: the one member 1
+        if star == a:
+            pairs = _palindrome(pairs, a, N)
         for raw, mult in pairs:
-            count += mult
-            total += raw * mult
-            total_sq += raw * raw * mult
-            if hist is not None:
-                hist[raw] = hist.get(raw, 0) + mult
-            if cuts:
-                z = raw / scale - center
-                if absolute:
-                    z = abs(z)
-                for j, cut in enumerate(cuts):
-                    if z >= cut:
-                        tails[j] += mult
-    return count, total, total_sq, tails, hist
+            counts[raw] = get(raw, 0) + mult
+    return counts
 
 
 def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
@@ -287,23 +312,27 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
     scale = 24 * N if spec.kind == "D" else 1
     if spec.kind == "restricted":
         spec.f.validate_on(Window(spec.eta, spec.theta), max_digit=N)
-    parts = _map_ranges(_scan_range, N, workers, spec, thresholds,
-                        with_histogram, center, absolute, scale)
-    count = sum(p[0] for p in parts)
-    total = sum(p[1] for p in parts)
-    total_sq = sum(p[2] for p in parts)
-    tails = {t: sum(p[3][j] for p in parts) for j, t in enumerate(thresholds)}
-    counts = parts[0][4]  # None without a histogram
-    if with_histogram:
+    logN = math.log(N)
+    fold_args = ([t * logN for t in thresholds], scale, center, absolute)
+    counted = with_histogram or spec.kind != "D"
+    parts = _map_ranges(_scan_range, N, workers, spec, counted, fold_args)
+    counts = None
+    if counted:
+        counts = parts[0]
         for p in parts[1:]:
-            for raw, v in p[4].items():
+            for raw, v in p.items():
                 counts[raw] = counts.get(raw, 0) + v
+        parts = [_fold(counts.items(), *fold_args)]
+    count = sum(p[0] for p in parts)
+    tails = {t: sum(p[3][j] for p in parts) for j, t in enumerate(thresholds)}
     phi = euler_phi(N)
     if count != phi:
         raise InvariantError(f"scan visited {count} numerators, phi({N}) = {phi}")
     return EnsembleSummary(N=N, phi=phi, spec=spec, count=count, scale=scale,
-                           sum_scaled=total, sumsq_scaled=total_sq,
-                           tail_counts=tails, counts=counts,
+                           sum_scaled=sum(p[1] for p in parts),
+                           sumsq_scaled=sum(p[2] for p in parts),
+                           tail_counts=tails,
+                           counts=counts if with_histogram else None,
                            center=center, absolute=absolute)
 
 

@@ -1,7 +1,10 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +267,23 @@ def test_unwritable_output_path(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     assert [p.name for p in tmp_path.parent.iterdir()
             if p.name.startswith(tmp_path.name)] == [tmp_path.name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gk", "3", "--max-digit", "100000"],
+    ["scan", "--range", "2", "3000", "--stat", "M"],
+])
+def test_reader_closing_stdout_exits_2(argv):
+    # more output than a pipe holds, so the writer is still running when
+    # the reader leaves after one line, as `| head -1` does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.Popen([sys.executable, "-m", "cfq.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (2, b"")

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfq.core import (ReducedFraction, WeightFn, Window, cf_digits, cf_walk,
                       expand, restricted_sum, stat_alt, stat_count, stat_max,
@@ -13,7 +14,7 @@ from cfq.ensemble import (StatSpec, constants, digit_histogram,
 from cfq.errors import InvalidSpec, LimitExceeded
 from cfq.core import alt_sum, count_in, windowed_sum
 from cfq.dedekind import dedekind_scaled
-from cfq.ensemble import HISTOGRAM_LIMIT, PI2, _representatives
+from cfq.ensemble import HISTOGRAM_LIMIT, PI2, STAT_KINDS, _representatives
 from cfq.weight import weight_row_at
 
 
@@ -357,6 +358,48 @@ def test_orbit_scan_matches_per_numerator_reference():
             for m_max in (1, 3, N + 1):
                 assert digit_histogram(N, m_max, workers=workers) == \
                     _reference_digit_histogram(N, m_max), (N, workers, m_max)
+
+
+@st.composite
+def _specs(draw):
+    kind = draw(st.sampled_from(STAT_KINDS))
+    if kind == "L":
+        b = draw(st.integers(1, 6))
+        return StatSpec("L", b=b, c=draw(st.integers(b, 12)))
+    if kind == "restricted":
+        eta = draw(st.integers(1, 5))
+        theta = draw(st.one_of(st.none(), st.integers(eta, 12)))
+        weights = [WeightFn.one(), WeightFn.square(), WeightFn.identity()]
+        if theta is not None:  # a rational table on the window
+            steps = draw(st.lists(st.fractions(0, 3, max_denominator=7),
+                                  min_size=theta - eta + 1,
+                                  max_size=theta - eta + 1))
+            weights.append(WeightFn.from_table(
+                [sum(steps[:i + 1]) for i in range(len(steps))], start=eta))
+        return StatSpec("restricted", f=draw(st.sampled_from(weights)),
+                        eta=eta, theta=theta)
+    return StatSpec(kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(2, 700), spec=_specs(),
+       thresholds=st.lists(st.one_of(st.just(0.0),
+                                     st.floats(-3, 6, allow_nan=False)),
+                           max_size=4, unique=True),
+       center=st.floats(-10, 30, allow_nan=False), absolute=st.booleans(),
+       workers=st.sampled_from((1, 3)))
+def test_scan_fold_matches_reference(N, spec, thresholds, center, absolute,
+                                     workers):
+    ref = _reference_scan(N, spec, thresholds, center, absolute)
+    s = scan(N, spec, thresholds=thresholds, workers=workers,
+             with_histogram=True, center=center, absolute=absolute)
+    assert (s.count, s.sum_scaled, s.sumsq_scaled, s.tail_counts,
+            s.histogram) == ref
+    plain = scan(N, spec, thresholds=thresholds, workers=workers,
+                 center=center, absolute=absolute)
+    assert plain.counts is None and plain.histogram is None
+    assert (plain.count, plain.sum_scaled, plain.sumsq_scaled,
+            plain.tail_counts) == ref[:4]
 
 
 def test_orbit_member_digits():
