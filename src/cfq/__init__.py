@@ -10,17 +10,17 @@ from importlib import import_module
 #: Submodule -> the public names it defines.
 _EXPORTS = {
     "core": ("ContinuedFraction", "ReducedFraction", "WeightFn", "Window",
-             "cf_digits", "convergents_of", "evaluate_digits",
-             "even_odd_sums", "expand", "restricted_sum", "stat_alt",
-             "stat_count", "stat_max", "stat_sum"),
+             "cf_digits", "convergents_of", "even_odd_sums", "expand",
+             "restricted_sum", "stat_alt", "stat_count", "stat_max",
+             "stat_sum"),
     "dedekind": ("dedekind_bh", "dedekind_direct", "dedekind_scaled",
                  "reciprocity_check"),
     "discrepancy": ("DiscrepancyReport", "PointSet", "StepFn",
                     "extreme_discrepancy", "koksma_check",
                     "reduced_fraction_discrepancy", "star_discrepancy"),
     "ensemble": ("EnsembleSummary", "StatSpec", "TheoremConstants",
-                 "constants", "digit_histogram", "enumerate_coprime",
-                 "euler_phi", "panov_mean_report", "scan", "thm_harness"),
+                 "constants", "digit_histogram", "euler_phi",
+                 "panov_mean_report", "scan", "thm_harness"),
     "errors": ("CfqError",),
     "farey": ("bd_tail", "enumerate_farey", "hensley_tail", "vardi_sample"),
     "reflect": ("reflect", "reflect_lower", "reflect_upper",

@@ -103,9 +103,6 @@ class ReducedFraction(Record):
         if math.gcd(a, N) != 1:
             raise InvalidFraction(f"gcd({a}, {N}) != 1")
 
-    def value(self) -> Fraction:
-        return Fraction(self.a, self.N)
-
 
 def cf_walk(a: int, N: int) -> tuple[list[int], int]:
     """(digits, q_{r-1}): the canonical partial quotients of a/N and its
@@ -136,11 +133,6 @@ def convergents_of(digits: Sequence[int]) -> list[tuple[int, int]]:
     return table
 
 
-def evaluate_digits(digits: Sequence[int]) -> tuple[int, int]:
-    """Value (p, q) of [0; d_1, ..., d_r]; the list need not be canonical."""
-    return convergents_of(digits)[-1]
-
-
 class ContinuedFraction(Record):
     """Digit list plus convergent table of one reduced fraction."""
 
@@ -164,9 +156,6 @@ class ContinuedFraction(Record):
     @property
     def N(self) -> int:
         return self.convergents[-1][1]
-
-    def value(self) -> Fraction:
-        return Fraction(self.a, self.N)
 
 
 def expand(frac: ReducedFraction) -> ContinuedFraction:

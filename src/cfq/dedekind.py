@@ -16,9 +16,10 @@ walk they already made.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .core import ReducedFraction, alt_sum, cf_walk, expand, stat_alt
+from .core import ReducedFraction, alt_sum, cf_walk
 from .errors import DIRECT_LIMIT, InvariantError, LimitExceeded, NotCoprime
 
 
@@ -59,7 +60,6 @@ def closed_form(a: int, N: int, digits: list[int], q: int) -> int:
 
 def reciprocity_check(a: int, b: int) -> bool:
     """s(a, b) + s(b, a) = -1/4 + (a^2 + b^2 + 1)/(12 a b), exact."""
-    import math
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
         raise NotCoprime(f"reciprocity needs coprime positive a, b, got ({a}, {b})")
     lhs = _sum_mod(a, b) + _sum_mod(b, a)
@@ -72,9 +72,3 @@ def _sum_mod(a: int, b: int) -> Fraction:
     if b == 1:
         return Fraction(0)
     return dedekind_bh(ReducedFraction(a % b, b))
-
-
-def alt_sum_bound_holds(frac: ReducedFraction) -> bool:
-    """|D(a, N) + S_alt / 12| < 1/2: the closed form leaves only small terms."""
-    cf = expand(frac)
-    return abs(dedekind_bh(frac) + Fraction(stat_alt(cf), 12)) < Fraction(1, 2)

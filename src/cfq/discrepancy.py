@@ -120,7 +120,9 @@ def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
 
     Both sweeps score their terms at scale M * L (see the module
     docstring).  The counts come from one pass over the sorted numerators,
-    so the cost is O(M).
+    so the cost is O(M).  Rescaled, the M numerators take about
+    M * L.bit_length() bits; above DISCREPANCY_LIMIT * 64 this raises
+    LimitExceeded before any is rescaled.
     """
     M = len(ps)
     if M == 0:
@@ -130,6 +132,10 @@ def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
     if rng.measure == 0:
         raise BadRange("range must have positive measure")
     L = math.lcm(ps.scale, rng.lo.denominator, rng.hi.denominator)
+    if M * L.bit_length() > DISCREPANCY_LIMIT * 64:
+        raise LimitExceeded(f"discrepancy sweep capped at "
+                            f"{DISCREPANCY_LIMIT * 64} bits, got {M} points "
+                            f"of {L.bit_length()} bits once rescaled")
     k = L // ps.scale
     V = [v * k for v in ps.values] if k > 1 else ps.values
     lo, hi = int(rng.lo * L), int(rng.hi * L)

@@ -29,8 +29,8 @@ from functools import cache
 from itertools import chain
 from typing import Optional
 
-from .core import (ReducedFraction, Record, WeightFn, Window, alt_sum,
-                   cf_walk, count_in, windowed_sum)
+from .core import (Record, WeightFn, Window, alt_sum, cf_walk, count_in,
+                   windowed_sum)
 from .errors import (HISTOGRAM_LIMIT, SCAN_LIMIT, InvalidSpec, InvariantError,
                      InvalidWindow, LimitExceeded)
 from .dedekind import closed_form
@@ -95,15 +95,6 @@ def euler_phi(N: int) -> int:
     if n > 1:
         result -= result // n
     return result
-
-
-def enumerate_coprime(N: int):
-    """All a in [1, N-1] with gcd(a, N) = 1, ascending."""
-    if N < 2:
-        raise InvalidSpec(f"need N >= 2, got {N}")
-    for a in range(1, N):
-        if math.gcd(a, N) == 1:
-            yield ReducedFraction(a, N)
 
 
 class EnsembleSummary(Record):

@@ -73,7 +73,11 @@ FAREY_LIMIT = 10 ** 4
 
 #: Largest N for the discrepancy point set {a/N : a in Z_N*}: its
 #: phi(N) < 10^6 points take about 160 MB and 1.5 s to build and sweep on
-#: one CPU.
+#: one CPU.  The extreme-discrepancy sweep rescales its M points to L, the
+#: lcm of their denominator and the range's, and refuses to when
+#: M * L.bit_length() exceeds DISCREPANCY_LIMIT * 64 bits, what the largest
+#: permitted point set takes at word size, so a range with a huge
+#: denominator cannot make it allocate gigabytes.
 DISCREPANCY_LIMIT = 10 ** 6
 
 #: The direct Dedekind sum walks all residues once; beyond this it is

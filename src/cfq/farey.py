@@ -5,8 +5,8 @@ is the setting in which the classical limit laws (Hensley for the maximal
 digit, Vardi's Cauchy law for Dedekind sums, the stable tail for the digit
 sum) are actually proven.  Each law reads the ensemble.scan summary of
 every Z_N*: hensley its tail counts at t ln N, vardi and bd its histogram
-counts.  Statistics normalized by ln N or ln ln N skip members with N = 2
-so the normalization is never degenerate.
+counts over its member count.  Statistics normalized by ln N or ln ln N
+skip members with N = 2 so the normalization is never degenerate.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def vardi_sample(Q: int, probes: tuple = (-4.0, -2.0, -1.0, -0.5, 0.0,
     below = [0] * len(probes)
     total = 0
     for summary in scans:
+        total += summary.count
         for raw, mult in summary.counts.items():  # D = raw/scale
-            total += mult
             v = 2 * math.pi * raw / (summary.scale * math.log(summary.N))
             for j, p in enumerate(probes):
                 if v <= p:
@@ -103,14 +103,9 @@ def bd_tail(Q: int, t: float) -> tuple[float, float]:
     for summary in _scans(Q, "S", with_histogram=True):
         logN = math.log(summary.N)
         center = digit_sum_center(summary.N)
+        total += summary.count
         for s, mult in summary.counts.items():
-            total += mult
             if (s - center) / logN >= t:
                 hits += mult
     frac_ = hits / total
     return frac_, t * frac_
-
-
-def farey_count(Q: int) -> int:
-    """|F_Q| as enumerated (equals the totient summatory function minus 1)."""
-    return sum(1 for _ in enumerate_farey(Q))

@@ -52,15 +52,6 @@ class IntervalQ(Record):
             return False
         return True
 
-    def is_subset(self, other: "IntervalQ") -> bool:
-        if self.lo < other.lo or (self.lo == other.lo
-                                  and self.lo_closed and not other.lo_closed):
-            return False
-        if self.hi > other.hi or (self.hi == other.hi
-                                  and self.hi_closed and not other.hi_closed):
-            return False
-        return True
-
     def __str__(self) -> str:
         return (("[" if self.lo_closed else "(") + f"{self.lo}, {self.hi}"
                 + ("]" if self.hi_closed else ")"))
@@ -102,7 +93,7 @@ def _interval(pair: _Pair, m: int) -> IntervalQ:
     return IntervalQ(e2, e1, False, m > 1)
 
 
-def _measure(pair: _Pair, m: int, weight: Rational = 1) -> Fraction:
+def _measure(pair: _Pair, m: int, weight: Rational) -> Fraction:
     """weight times the measure 1/((m Q + Q') ((m+1) Q + Q')), one Fraction."""
     _, Q, _, Q1 = pair
     return Fraction(weight, (m * Q + Q1) * ((m + 1) * Q + Q1))
@@ -118,16 +109,6 @@ def interval_Iprime(b: int, k: int, m: int) -> IntervalQ:
     """The interval I'(b/k, m): next digit is m after an intervening 1."""
     _check_prefix(b, k, m)
     return _interval(prefix_convergents(b, k)[1], m)
-
-
-def measure_I(b: int, k: int, m: int) -> Fraction:
-    """Closed-form Lebesgue measure of I(b/k, m)."""
-    return _measure(prefix_convergents(b, k)[0], m)
-
-
-def measure_Iprime(b: int, k: int, m: int) -> Fraction:
-    """Closed-form Lebesgue measure of I'(b/k, m)."""
-    return _measure(prefix_convergents(b, k)[1], m)
 
 
 def interval_left(b: int, k: int, m: int) -> IntervalQ:

@@ -269,6 +269,15 @@ def test_unwritable_output_path(tmp_path, capsys):
             if p.name.startswith(tmp_path.name)] == [tmp_path.name]
 
 
+def _src_env():
+    """The environment with src/ first on PYTHONPATH, for a fresh cfq."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 @pytest.mark.parametrize("argv", [
     ["gk", "3", "--max-digit", "100000"],
     ["scan", "--range", "2", "3000", "--stat", "M"],
@@ -276,14 +285,24 @@ def test_unwritable_output_path(tmp_path, capsys):
 def test_reader_closing_stdout_exits_2(argv):
     # more output than a pipe holds, so the writer is still running when
     # the reader leaves after one line, as `| head -1` does
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.Popen([sys.executable, "-m", "cfq.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "cfq.cli", *argv],
+                            env=_src_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (2, b"")
+
+
+def test_discrepancy_huge_range_denominator_exits_4():
+    # 100002 points rescaled to a denominator of about 26,600 bits: refused
+    # before the sweep rescales them, so the process stays small
+    argv = ["discrepancy", "100003", "--lo", f"1/{10 ** 4000 + 7}",
+            "--hi", f"3/{10 ** 4000 + 9}"]
+    proc = subprocess.run([sys.executable, "-m", "cfq.cli", *argv],
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("cfq: discrepancy sweep capped at 64000000 bits, "
+                           "got 100002 points of 26593 bits once rescaled\n")

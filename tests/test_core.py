@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfq.core import (ReducedFraction, WeightFn, Window, cf_digits,
-                      convergents_of, evaluate_digits, even_odd_sums, expand,
+                      convergents_of, even_odd_sums, expand,
                       restricted_sum, stat_alt, stat_count, stat_max, stat_sum)
 from cfq.errors import (InvalidFraction, InvalidWeight, InvalidWindow,
                         LimitExceeded)
@@ -51,8 +51,7 @@ def test_round_trip_exhaustive_small():
         digits = cf_digits(a, N)
         assert digits[-1] >= 2
         assert all(d >= 1 for d in digits)
-        p, q = evaluate_digits(digits)
-        assert (p, q) == (a, N)
+        assert convergents_of(digits)[-1] == (a, N)
 
 
 def test_determinant_identity():
@@ -72,13 +71,13 @@ def test_round_trip_random(N, a):
         return
     digits = cf_digits(a, N)
     assert digits[-1] >= 2
-    assert evaluate_digits(digits) == (a, N)
+    assert convergents_of(digits)[-1] == (a, N)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1,
                 max_size=12))
 def test_evaluate_matches_fraction_fold(digits):
-    p, q = evaluate_digits(digits)
+    p, q = convergents_of(digits)[-1]
     value = Fraction(0)
     for d in reversed(digits):
         value = Fraction(1, d + value)

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfq.core import ReducedFraction, cf_digits, evaluate_digits, expand, stat_alt
-from cfq.dedekind import (alt_sum_bound_holds, dedekind_bh, dedekind_direct,
-                          dedekind_scaled, reciprocity_check)
+from cfq.core import ReducedFraction, cf_digits, convergents_of, expand, stat_alt
+from cfq.dedekind import (dedekind_bh, dedekind_direct, dedekind_scaled,
+                          reciprocity_check)
 from cfq.errors import InvariantError, LimitExceeded, NotCoprime
 
 
@@ -56,22 +56,24 @@ def test_reciprocity_random(a, b):
     assert reciprocity_check(a, b)
 
 
+def alt_sum_bound_holds(frac):
+    """|D(a, N) + S_alt / 12| < 1/2: the closed form leaves only small terms."""
+    resid = dedekind_bh(frac) + Fraction(stat_alt(expand(frac)), 12)
+    return abs(resid) < Fraction(1, 2)
+
+
 def test_alt_sum_bound():
     for N in range(2, 200):
         for a in range(1, N):
             if math.gcd(a, N) != 1:
                 continue
-            frac = ReducedFraction(a, N)
-            assert alt_sum_bound_holds(frac)
-            # the bound really is the residual of the closed form
-            resid = dedekind_bh(frac) + Fraction(stat_alt(expand(frac)), 12)
-            assert abs(resid) < Fraction(1, 2)
+            assert alt_sum_bound_holds(ReducedFraction(a, N))
 
 
 def _reversed_expansion_scaled(a, N):
     """24 N D(a, N) through the reversed digit list, the earlier formula."""
     digits = cf_digits(a, N)
-    p_rev, q_rev = evaluate_digits(digits[::-1])
+    p_rev, q_rev = convergents_of(digits[::-1])[-1]
     assert q_rev == N
     sign = -1 if len(digits) % 2 else 1
     s_alt = sum(-d if i % 2 else d for i, d in enumerate(digits, start=1))

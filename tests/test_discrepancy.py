@@ -10,10 +10,22 @@ from cfq.core import WeightFn, Window
 from cfq.discrepancy import (DiscrepancyReport, PointSet, StepFn,
                              extreme_discrepancy, koksma_check,
                              reduced_fraction_discrepancy, star_discrepancy)
-from cfq.errors import BadRange, BadSpec, EmptySet
+from cfq.errors import (DISCREPANCY_LIMIT, BadRange, BadSpec, EmptySet,
+                        LimitExceeded)
 from cfq.weight import IntervalQ, weight_step_pieces
 
 UNIT = IntervalQ(Fraction(0), Fraction(1), True, True)
+
+
+def is_subset(iv: IntervalQ, other: IntervalQ) -> bool:
+    """iv lies in other, honouring both intervals' open or closed ends."""
+    if iv.lo < other.lo or (iv.lo == other.lo
+                            and iv.lo_closed and not other.lo_closed):
+        return False
+    if iv.hi > other.hi or (iv.hi == other.hi
+                            and iv.hi_closed and not other.hi_closed):
+        return False
+    return True
 
 
 def brute_extreme(ps: PointSet, rng: IntervalQ) -> Fraction:
@@ -28,7 +40,7 @@ def brute_extreme(ps: PointSet, rng: IntervalQ) -> Fraction:
                 if lo == hi and not (lo_closed and hi_closed):
                     continue
                 iv = IntervalQ(lo, hi, lo_closed, hi_closed)
-                if not iv.is_subset(rng):
+                if not is_subset(iv, rng):
                     continue
                 count = sum(1 for x in pts if iv.contains(x))
                 best = max(best, abs(Fraction(count, M) - iv.measure))
@@ -81,6 +93,21 @@ def test_extreme_validation():
     for scale, values in ((6, (5, 1)), (6, (7,)), (0, (0,))):
         with pytest.raises(BadRange):
             PointSet(scale, values)
+
+
+def test_extreme_bit_budget():
+    # M points rescaled to L take M * L.bit_length() bits; exactly the
+    # budget is swept, one bit more is refused before anything is rescaled
+    M = 1000
+    bits = DISCREPANCY_LIMIT * 64 // M
+    ps = PointSet(1, (0,) * (M // 2) + (1,) * (M // 2))
+    tiny = IntervalQ(Fraction(0), Fraction(1, 2 ** (bits - 1)), True, True)
+    rep = extreme_discrepancy(ps, tiny)
+    assert rep.value == Fraction(1, 2)
+    assert str(rep.witness) == "[0, 0]"
+    with pytest.raises(LimitExceeded, match="discrepancy sweep capped"):
+        extreme_discrepancy(ps, IntervalQ(Fraction(0), Fraction(1, 2 ** bits),
+                                          True, True))
 
 
 def test_sweep_matches_brute_force():

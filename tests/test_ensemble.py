@@ -8,20 +8,13 @@ from hypothesis import given, settings, strategies as st
 from cfq.core import (ReducedFraction, WeightFn, Window, cf_digits, cf_walk,
                       expand, restricted_sum, stat_alt, stat_count, stat_max,
                       stat_sum)
-from cfq.ensemble import (StatSpec, constants, digit_histogram,
-                          enumerate_coprime, euler_phi, mu_window,
-                          panov_mean_report, scan, thm_harness)
+from cfq.ensemble import (StatSpec, constants, digit_histogram, euler_phi,
+                          mu_window, panov_mean_report, scan, thm_harness)
 from cfq.errors import InvalidSpec, LimitExceeded
 from cfq.core import alt_sum, count_in, windowed_sum
 from cfq.dedekind import dedekind_scaled
 from cfq.ensemble import HISTOGRAM_LIMIT, PI2, STAT_KINDS, _representatives
 from cfq.weight import weight_row_at
-
-
-def test_enumerate_coprime():
-    assert [f.a for f in enumerate_coprime(6)] == [1, 5]
-    assert [f.a for f in enumerate_coprime(12)] == [1, 5, 7, 11]
-    assert [f.a for f in enumerate_coprime(7)] == list(range(1, 7))
 
 
 def test_euler_phi():
@@ -263,7 +256,8 @@ def test_scan_histograms_match_core_statistics():
          lambda cf: restricted_sum(cf, WeightFn.square(), Window(1, 3))),
     ]
     for N in range(2, 151):
-        cfs = [expand(frac) for frac in enumerate_coprime(N)]
+        cfs = [expand(ReducedFraction(a, N)) for a in range(1, N)
+               if math.gcd(a, N) == 1]
         for spec, stat in cases:
             hist = scan(N, spec, with_histogram=True).histogram
             assert hist == Counter(stat(cf) for cf in cfs), (N, spec.label())

@@ -9,20 +9,20 @@ from cfq.dedekind import dedekind_scaled
 from cfq.ensemble import euler_phi
 from cfq.errors import BadRange
 from cfq.farey import (VardiReport, bd_tail, cauchy_cdf, enumerate_farey,
-                       farey_count, hensley_tail, vardi_sample)
+                       hensley_tail, vardi_sample)
 
 
 def test_enumeration_examples():
     assert [(f.a, f.N) for f in enumerate_farey(3)] == [(1, 3), (1, 2), (2, 3)]
     assert [(f.a, f.N) for f in enumerate_farey(2)] == [(1, 2)]
-    assert farey_count(5) == 9
+    assert sum(1 for _ in enumerate_farey(5)) == 9
     with pytest.raises(BadRange):
         list(enumerate_farey(1))
 
 
 def test_count_identity():
     for Q in (2, 3, 10, 57, 200, 1000):
-        assert farey_count(Q) == sum(euler_phi(n) for n in range(2, Q + 1))
+        assert sum(1 for _ in enumerate_farey(Q)) == sum(euler_phi(n) for n in range(2, Q + 1))
 
 
 def test_neighbor_property_and_order():

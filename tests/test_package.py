@@ -1,10 +1,12 @@
 """The lazy package: its public names, and the modules each process loads."""
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,16 +19,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Every name `import cfq` has offered, by the submodule that defines it.
 PUBLIC = {
     "core": "ContinuedFraction ReducedFraction WeightFn Window cf_digits "
-            "convergents_of evaluate_digits even_odd_sums expand "
-            "restricted_sum stat_alt stat_count stat_max stat_sum",
+            "convergents_of even_odd_sums expand restricted_sum stat_alt "
+            "stat_count stat_max stat_sum",
     "dedekind": "dedekind_bh dedekind_direct dedekind_scaled "
                 "reciprocity_check",
     "discrepancy": "DiscrepancyReport PointSet StepFn extreme_discrepancy "
                    "koksma_check reduced_fraction_discrepancy "
                    "star_discrepancy",
     "ensemble": "EnsembleSummary StatSpec TheoremConstants constants "
-                "digit_histogram enumerate_coprime euler_phi "
-                "panov_mean_report scan thm_harness",
+                "digit_histogram euler_phi panov_mean_report scan "
+                "thm_harness",
     "errors": "CfqError",
     "farey": "bd_tail enumerate_farey hensley_tail vardi_sample",
     "reflect": "reflect reflect_lower reflect_upper "
@@ -68,11 +70,36 @@ def _fresh(script: str) -> str:
 
 
 def test_public_names_come_from_their_modules():
-    assert len(NAMES) == 59
+    assert len(NAMES) == 57
     for module, name in NAMES:
         source = importlib.import_module(f"cfq.{module}")
         assert getattr(cfq, name) is getattr(source, name), name
         assert vars(cfq)[name] is getattr(source, name), name
+
+
+def _reads(tree) -> Counter:
+    """How often each name or attribute is read in tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_function_has_a_caller():
+    # A module-level function of cfq is public, or src/cfq or perfbench/
+    # reads it outside its own def: a reference path that only the tests
+    # call belongs in the tests.  Dunder hooks are called by the interpreter.
+    trees = {path: ast.parse(path.read_text())
+             for folder in (SRC / "cfq", SRC.parent / "perfbench")
+             for path in sorted(folder.glob("*.py"))}
+    reads = sum(map(_reads, trees.values()), Counter())
+    uncalled = [f"{path.stem}.{node.name}"
+                for path, tree in trees.items() if path.parent.name == "cfq"
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name not in cfq.__all__
+                and not node.name.startswith("__")
+                and reads[node.name] == _reads(node)[node.name]]
+    assert uncalled == []
 
 
 def test_all_and_dir_list_the_public_names():

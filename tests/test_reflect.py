@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cfq.core import ReducedFraction, cf_digits, evaluate_digits, expand
+from cfq.core import ReducedFraction, cf_digits, convergents_of, expand
 from cfq.errors import WrongHalf
 from cfq.reflect import (reflect, reflect_lower, reflect_upper,
                          verify_continuant_identity)
@@ -81,7 +81,7 @@ def _reversed_image(a, N):
         # merge the trailing 1 into its predecessor
         reversed_ = (digits[:-1] + [digits[-1] - 1, 1])[::-1]
         canonical = reversed_[:-2] + [reversed_[-2] + 1]
-    p, q = evaluate_digits(canonical)
+    p, q = convergents_of(canonical)[-1]
     assert q == N
     return p
 

@@ -5,15 +5,38 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfq.core import ReducedFraction, WeightFn, Window, cf_digits, evaluate_digits
+from cfq.core import ReducedFraction, WeightFn, Window, cf_digits, convergents_of
 from cfq.errors import BadDigit, InvalidWindow, NotCoprime
 from cfq.weight import (IntervalQ, _bijection_rhs, _hits_at_fraction,
                         _interval, bijection_identity_check,
                         counting_identity_check, integral_row, interval_I,
-                        interval_Iprime, interval_left, measure_I,
-                        measure_Iprime, prefix_convergents, row_sum,
-                        weight_eval, weight_hits, weight_row_at,
+                        interval_Iprime, interval_left, prefix_convergents,
+                        row_sum, weight_eval, weight_hits, weight_row_at,
                         weight_step_pieces)
+
+
+def _prefix_denominators(b, k):
+    """(q_s, q_{s-1}) of b/k = [0; b_1, ..., b_s] and of its I' prefix
+    [0; b_1, ..., b_s - 1, 1]; for k = 1 the empty prefix and [0; 1]."""
+    if k == 1:
+        return (1, 0), (1, 1)
+    conv = convergents_of(cf_digits(b, k))
+    qs, qs1 = conv[-1][1], conv[-2][1]
+    return (qs, qs1), (qs, qs - qs1)
+
+
+def _closed_measure(Q, Q1, m):
+    return Fraction(1, (m * Q + Q1) * ((m + 1) * Q + Q1))
+
+
+def measure_I(b, k, m):
+    """Closed-form Lebesgue measure of I(b/k, m), the oracle for _measure."""
+    return _closed_measure(*_prefix_denominators(b, k)[0], m)
+
+
+def measure_Iprime(b, k, m):
+    """Closed-form Lebesgue measure of I'(b/k, m)."""
+    return _closed_measure(*_prefix_denominators(b, k)[1], m)
 
 
 def brute_hits(b, k, x, m_max):
@@ -61,8 +84,8 @@ def test_intervals_match_digit_definition():
             for interval, prefix in ((interval_I, d), (interval_Iprime, prime)):
                 for m in range(1, 9):
                     iv = interval(b, k, m)
-                    e1 = Fraction(*evaluate_digits(prefix + [m]))
-                    e2 = Fraction(*evaluate_digits(prefix + [m + 1]))
+                    e1 = Fraction(*convergents_of(prefix + [m])[-1])
+                    e2 = Fraction(*convergents_of(prefix + [m + 1])[-1])
                     assert {iv.lo, iv.hi} == {e1, e2}
                     assert iv.contains(e1) == (m > 1)
                     assert not iv.contains(e2)
