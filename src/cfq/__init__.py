@@ -18,15 +18,16 @@ _EXPORTS = {
     "discrepancy": ("DiscrepancyReport", "PointSet", "StepFn",
                     "extreme_discrepancy", "koksma_check",
                     "reduced_fraction_discrepancy", "star_discrepancy"),
-    "ensemble": ("EnsembleSummary", "StatSpec", "TheoremConstants",
-                 "constants", "digit_histogram", "euler_phi",
-                 "panov_mean_report", "scan", "thm_harness"),
+    "ensemble": ("EnsembleSummary", "StatSpec", "digit_histogram",
+                 "euler_phi", "scan"),
     "errors": ("CfqError",),
     "farey": ("bd_tail", "enumerate_farey", "hensley_tail", "vardi_sample"),
     "reflect": ("reflect", "reflect_lower", "reflect_upper",
                 "verify_continuant_identity"),
     "search": ("ExtremalRecord", "min_max_quotient", "min_sum",
                "zaremba_scan"),
+    "theorems": ("TheoremConstants", "constants", "panov_mean_report",
+                 "thm_harness"),
     "weight": ("IntervalQ", "bijection_identity_check",
                "counting_identity_check", "interval_I", "interval_Iprime",
                "interval_left", "row_sum", "integral_row", "weight_eval",

@@ -11,26 +11,31 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import stat
 import sys
-from fractions import Fraction
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from .core import ReducedFraction, WeightFn, Window, expand, stat_alt, stat_max, stat_sum
-from .dedekind import dedekind_bh
-from .ensemble import StatSpec, constants, digit_histogram, scan
+from .ensemble import StatSpec, digit_histogram, scan
 from .errors import (DISCREPANCY_LIMIT, FAREY_LIMIT, HISTOGRAM_LIMIT,
-                     SCAN_LIMIT, SEARCH_LIMIT, CfqError, LimitExceeded)
+                     PRINT_DIGITS_LIMIT, SCAN_LIMIT, SEARCH_LIMIT, CfqError,
+                     LimitExceeded)
 # farey and search stay here, not in their commands: a traced benchmark run
 # times them by patching these names on this module.
 from .farey import bd_tail, hensley_tail, vardi_sample
 from .search import _check_N, min_max_quotient, min_sum, zaremba_scan
 
+# fractions and json are imported where a command builds a Fraction or
+# prints JSON, so scan, gk, search and farey load no fractions, and the
+# commands that print CSV load no json.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 def _frac_str(x) -> str:
+    from fractions import Fraction
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
@@ -42,6 +47,11 @@ def _weight_from_name(name: str) -> WeightFn:
 
 def _emit(out, line: str) -> None:
     out.write(line + "\n")
+
+
+def _emit_json(out, record: dict) -> None:
+    import json
+    _emit(out, json.dumps(record, sort_keys=True))
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -69,6 +79,7 @@ def _check_range(command: str, rng) -> None:
 
 def fraction(text: str) -> Fraction:
     """argparse type for a rational given as p/q or a decimal."""
+    from fractions import Fraction
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
@@ -101,6 +112,7 @@ def float_list(text: str) -> list[float]:
 
 
 def cmd_expand(args, out) -> int:
+    from .dedekind import dedekind_bh
     frac = ReducedFraction(args.a, args.N)
     cf = expand(frac)
     record = {
@@ -113,7 +125,7 @@ def cmd_expand(args, out) -> int:
         "S_alt": stat_alt(cf),
         "D": _frac_str(dedekind_bh(frac)),
     }
-    _emit(out, json.dumps(record, sort_keys=True))
+    _emit_json(out, record)
     return 0
 
 
@@ -170,14 +182,15 @@ def cmd_scan(args, out) -> int:
             _emit(out, ",".join(repr(v) if isinstance(v, float) else str(v)
                                 for v in rec.values()))
         else:
-            _emit(out, json.dumps(rec, sort_keys=True))
+            _emit_json(out, rec)
     return 0
 
 
 def cmd_dedekind(args, out) -> int:
+    from .dedekind import dedekind_bh
     d = dedekind_bh(ReducedFraction(args.a, args.N))
-    _emit(out, json.dumps({"N": args.N, "a": args.a, "D": _frac_str(d),
-                           "D_decimal": float(d)}, sort_keys=True))
+    _emit_json(out, {"N": args.N, "a": args.a, "D": _frac_str(d),
+                     "D_decimal": float(d)})
     return 0
 
 
@@ -187,13 +200,19 @@ def cmd_discrepancy(args, out) -> int:
     from .weight import IntervalQ
     rng = IntervalQ(args.lo, args.hi, True, True)
     report = reduced_fraction_discrepancy(args.N, rng)
-    _emit(out, json.dumps({
+    w = report.witness
+    bound = 10 ** PRINT_DIGITS_LIMIT
+    if any(abs(x.numerator) >= bound or x.denominator >= bound
+           for x in (report.value, w.lo, w.hi, rng.lo, rng.hi)):
+        raise LimitExceeded(f"discrepancy prints numerators and denominators "
+                            f"of at most {PRINT_DIGITS_LIMIT} digits")
+    _emit_json(out, {
         "N": args.N,
         "range": str(rng),
         "value": _frac_str(report.value),
         "value_decimal": float(report.value),
-        "witness": str(report.witness),
-    }, sort_keys=True))
+        "witness": str(w),
+    })
     return 0
 
 
@@ -202,8 +221,8 @@ def cmd_search(args, out) -> int:
     lo, hi = args.range
     if args.zaremba is not None:
         bad = zaremba_scan(lo, hi, args.zaremba)
-        _emit(out, json.dumps({"K": args.zaremba, "range": [lo, hi],
-                               "without_witness": bad}, sort_keys=True))
+        _emit_json(out, {"K": args.zaremba, "range": [lo, hi],
+                         "without_witness": bad})
         return 0
     finder = min_sum if args.min_stat == "S" else min_max_quotient
     _check_N(lo)  # both ends, before the CSV header is written
@@ -233,7 +252,7 @@ def cmd_farey(args, out) -> int:
                "empirical_cdf": list(r.empirical_cdf),
                "cauchy_cdf": list(r.cauchy_cdf),
                "sup_distance": r.sup_distance}
-    _emit(out, json.dumps(rec, sort_keys=True))
+    _emit_json(out, rec)
     return 0
 
 
@@ -248,13 +267,14 @@ def cmd_gk(args, out) -> int:
 
 
 def cmd_constants(args, out) -> int:
+    from .theorems import constants
     tc = constants(_weight_from_name(args.f), Window(args.eta, args.theta),
                    args.b, args.c)
     rec = {k: getattr(tc, k) for k in
            ("A", "B", "C", "D", "Dprime", "Xi", "mu")}
     rec.update({"f": args.f, "eta": args.eta, "theta": args.theta,
                 "b": args.b, "c": args.c})
-    _emit(out, json.dumps(rec, sort_keys=True))
+    _emit_json(out, rec)
     return 0
 
 

@@ -13,9 +13,8 @@ count_in, alt_sum, windowed_sum).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import InvalidFraction, InvalidWeight, InvalidWindow, LimitExceeded
 
@@ -24,7 +23,12 @@ from .errors import InvalidFraction, InvalidWeight, InvalidWindow, LimitExceeded
 #: inside machine-word range in any 128-bit backend they may hand data to.
 MAX_DENOMINATOR = 1 << 62
 
-Rational = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+#: An exact value: a scan, search or Farey command builds no Fraction, so
+#: this module does not import fractions outside annotations.
+Rational = Union[int, "Fraction"]
 
 
 class Record:
@@ -205,6 +209,7 @@ class WeightFn:
         if kind == "table":
             if not table:
                 raise InvalidWeight("tabulated weight needs at least one value")
+            from fractions import Fraction
             vals = tuple(Fraction(v) for v in table)
             if any(v < 0 for v in vals):
                 raise InvalidWeight("weight values must be non-negative")

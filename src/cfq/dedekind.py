@@ -11,20 +11,25 @@ where S_alt = sum_i (-1)^i a_i.  Continuants are symmetric, so q_{r-1}
 is also the numerator of the reversed expansion [0; a_r, ..., a_1].
 core.cf_walk yields the digits and q_{r-1} in one Euclid walk, and
 closed_form turns them into 24 N D(a, N); ensemble scans call it on the
-walk they already made.
+walk they already made.  A D scan imports only closed_form, so fractions
+is imported by the functions that return a Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .core import ReducedFraction, alt_sum, cf_walk
+from .core import Rational, ReducedFraction, alt_sum, cf_walk
 from .errors import DIRECT_LIMIT, InvariantError, LimitExceeded, NotCoprime
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def dedekind_direct(frac: ReducedFraction) -> Fraction:
     """D(a, N) by the defining sum over residues, O(N)."""
+    from fractions import Fraction
     N = frac.N
     if N > DIRECT_LIMIT:
         raise LimitExceeded(f"direct sum capped at N = {DIRECT_LIMIT}")
@@ -40,6 +45,7 @@ def dedekind_direct(frac: ReducedFraction) -> Fraction:
 
 def dedekind_bh(frac: ReducedFraction) -> Fraction:
     """D(a, N) from the partial quotients of a/N, O(log N)."""
+    from fractions import Fraction
     return Fraction(dedekind_scaled(frac.a, frac.N), 24 * frac.N)
 
 
@@ -62,13 +68,14 @@ def reciprocity_check(a: int, b: int) -> bool:
     """s(a, b) + s(b, a) = -1/4 + (a^2 + b^2 + 1)/(12 a b), exact."""
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
         raise NotCoprime(f"reciprocity needs coprime positive a, b, got ({a}, {b})")
+    from fractions import Fraction
     lhs = _sum_mod(a, b) + _sum_mod(b, a)
     rhs = Fraction(-1, 4) + Fraction(a * a + b * b + 1, 12 * a * b)
     return lhs == rhs
 
 
-def _sum_mod(a: int, b: int) -> Fraction:
+def _sum_mod(a: int, b: int) -> Rational:
     """s(a, b) = D(a mod b, b), with s(*, 1) = 0."""
     if b == 1:
-        return Fraction(0)
+        return 0
     return dedekind_bh(ReducedFraction(a % b, b))

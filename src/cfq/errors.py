@@ -80,6 +80,12 @@ FAREY_LIMIT = 10 ** 4
 #: denominator cannot make it allocate gigabytes.
 DISCREPANCY_LIMIT = 10 ** 6
 
+#: Most decimal digits of a numerator or denominator that discrepancy
+#: prints: Python's default bound on converting an int to a string, so a
+#: larger result is refused with exit 4 before anything is written,
+#: whatever bound the interpreter is set to.
+PRINT_DIGITS_LIMIT = 4300
+
 #: The direct Dedekind sum walks all residues once; beyond this it is
 #: pointless next to the closed form.
 DIRECT_LIMIT = 10 ** 6

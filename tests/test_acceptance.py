@@ -18,10 +18,11 @@ from cfq.core import ReducedFraction, WeightFn, Window, cf_digits
 from cfq.dedekind import dedekind_bh, dedekind_direct, reciprocity_check
 from cfq.discrepancy import (PointSet, StepFn, extreme_discrepancy,
                              koksma_check)
-from cfq.ensemble import digit_histogram, thm_harness
+from cfq.ensemble import digit_histogram
 from cfq.farey import hensley_tail
 from cfq.reflect import reflect_lower, reflect_upper, verify_continuant_identity
 from cfq.search import min_max_quotient, zaremba_scan
+from cfq.theorems import thm_harness
 from cfq.weight import (IntervalQ, bijection_identity_check,
                         counting_identity_check, weight_step_pieces)
 

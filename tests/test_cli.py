@@ -306,3 +306,22 @@ def test_discrepancy_huge_range_denominator_exits_4():
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == ("cfq: discrepancy sweep capped at 64000000 bits, "
                            "got 100002 points of 26593 bits once rescaled\n")
+
+
+def test_discrepancy_result_past_the_print_digits_exits_4(tmp_path):
+    # inside the sweep's bit budget, but the value has a denominator of
+    # 7999 digits, past Python's int-to-string bound of 4300: refused
+    # before anything is written, so an existing output file is kept
+    path = tmp_path / "out.txt"
+    path.write_text("earlier\n")
+    argv = ["discrepancy", "2003", "--lo", f"1/{10 ** 3999 + 9}",
+            "--hi", f"1/{10 ** 3999 + 7}"]
+    for out in ([], ["-o", str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "cfq.cli", *out, *argv],
+                              env=_src_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == ("cfq: discrepancy prints numerators and "
+                               "denominators of at most 4300 digits\n")
+    assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from cfq.core import (ReducedFraction, WeightFn, Window, cf_digits, cf_walk,
                       expand, restricted_sum, stat_alt, stat_count, stat_max,
                       stat_sum)
-from cfq.ensemble import (StatSpec, constants, digit_histogram, euler_phi,
-                          mu_window, panov_mean_report, scan, thm_harness)
+from cfq.ensemble import (EnsembleSummary, StatSpec, digit_histogram,
+                          euler_phi, scan)
 from cfq.errors import InvalidSpec, LimitExceeded
 from cfq.core import alt_sum, count_in, windowed_sum
 from cfq.dedekind import dedekind_scaled
 from cfq.ensemble import HISTOGRAM_LIMIT, PI2, STAT_KINDS, _representatives
+from cfq.theorems import constants, mu_window, panov_mean_report, thm_harness
 from cfq.weight import weight_row_at
 
 
@@ -229,12 +230,15 @@ def test_dedekind_histogram_keys_are_exact():
 def test_dedekind_histogram_keys_are_built_when_read(monkeypatch):
     from cfq.farey import vardi_sample
     built = []
+    real_new = Fraction.__new__
 
-    def counting_fraction(*args):
+    def counting_new(cls, *args, **kwargs):
         built.append(args)
-        return Fraction(*args)
+        return real_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr("cfq.ensemble.Fraction", counting_fraction)
+    # every Fraction is built through fractions.Fraction.__new__, whichever
+    # module imports the class
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
     s = scan(101, StatSpec("D"), with_histogram=True)
     vardi_sample(30)
     assert built == []
@@ -454,3 +458,26 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
         assert scan(N, StatSpec("M"), with_histogram=True).histogram == \
             Counter(max(cf_digits(a, N)) for a in range(1, N)
                     if math.gcd(a, N) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(1, 10 ** 12),
+       scale=st.one_of(st.just(1), st.integers(1, 10 ** 9),
+                       st.integers(2, 10 ** 8).map(lambda N: 24 * N)),
+       total=st.one_of(st.integers(-2 ** 64, 2 ** 64),
+                       st.integers(2 ** 53, 2 ** 120)),
+       spread=st.integers(0, 2 ** 130))
+def test_float_moments_equal_the_exact_ones_rounded(count, scale, total,
+                                                    spread):
+    # sumsq * count >= total^2 for any real data (Cauchy-Schwarz); spread
+    # is the surplus, so the variance is any rational the data can give
+    sumsq = -(-(total * total + spread) // count)
+    s = EnsembleSummary(N=2, phi=1, spec=StatSpec("S"), count=count,
+                        scale=scale, sum_scaled=total, sumsq_scaled=sumsq,
+                        tail_counts={}, counts=None, center=0.0,
+                        absolute=False)
+    assert s.exact_mean == Fraction(total, scale * count)
+    assert s.exact_variance == (Fraction(sumsq, scale ** 2 * count)
+                                - Fraction(total, scale * count) ** 2)
+    assert s.mean == float(s.exact_mean)
+    assert s.variance == float(s.exact_variance)

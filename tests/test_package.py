@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -26,14 +25,13 @@ PUBLIC = {
     "discrepancy": "DiscrepancyReport PointSet StepFn extreme_discrepancy "
                    "koksma_check reduced_fraction_discrepancy "
                    "star_discrepancy",
-    "ensemble": "EnsembleSummary StatSpec TheoremConstants constants "
-                "digit_histogram euler_phi panov_mean_report scan "
-                "thm_harness",
+    "ensemble": "EnsembleSummary StatSpec digit_histogram euler_phi scan",
     "errors": "CfqError",
     "farey": "bd_tail enumerate_farey hensley_tail vardi_sample",
     "reflect": "reflect reflect_lower reflect_upper "
                "verify_continuant_identity",
     "search": "ExtremalRecord min_max_quotient min_sum zaremba_scan",
+    "theorems": "TheoremConstants constants panov_mean_report thm_harness",
     "weight": "IntervalQ bijection_identity_check counting_identity_check "
               "interval_I interval_Iprime interval_left row_sum integral_row "
               "weight_eval weight_hits weight_step_pieces",
@@ -54,9 +52,13 @@ PROBED = {
     "bd_tail": ["farey", "10", "--law", "bd"],
 }
 
-# Modules that only the discrepancy command loads, or none does.
-HEAVY = ["cfq.discrepancy", "cfq.reflect", "cfq.weight"]
-
+# Modules that some commands do not need: discrepancy and weight only
+# discrepancy loads; dedekind only D; theorems only constants; fractions
+# (with the decimal and numbers it imports) only a command that builds a
+# Fraction; json only a command that prints JSON.  No command loads reflect.
+WATCHED = ["cfq.dedekind", "cfq.discrepancy", "cfq.reflect", "cfq.theorems",
+           "cfq.weight", "decimal", "fractions", "json", "numbers"]
+EXACT = ["decimal", "fractions", "numbers"]
 
 def _fresh(script: str) -> str:
     """stdout of script run in a fresh interpreter that finds cfq in src/."""
@@ -154,27 +156,37 @@ def test_importing_cli_loads_no_command_only_module():
                  "import cfq\n"
                  "print(sorted(m for m in sys.modules if m.startswith('cfq.')))\n"
                  "import cfq.cli\n"
-                 "print(sorted(set(sys.modules) & set(%r)))\n" % HEAVY)
+                 "print(sorted(set(sys.modules) & set(%r)))\n" % WATCHED)
     assert out == "[]\n[]\n"
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["scan", "101", "--stat", "S"], []),
+    (["scan", "101", "--stat", "S"], ["json"]),
     (["gk", "101"], []),
     (["search", "--range", "2", "10"], []),
-    (["farey", "10"], []),
-    (["discrepancy", "6"], ["cfq.discrepancy", "cfq.weight"]),
+    (["farey", "10"], ["json"]),
+    (["discrepancy", "6"], ["cfq.discrepancy", "cfq.weight", *EXACT, "json"]),
+    (["scan", "101", "--stat", "D", "--t", "1"], ["cfq.dedekind", "json"]),
+    (["scan", "--range", "3", "20", "--stat", "M", "--format", "csv"], []),
+    (["scan", "101", "--stat", "L", "--b", "1", "--c", "2", "--format",
+      "csv"], []),
+    (["scan", "101", "--stat", "S_alt", "--format", "csv"], []),
+    (["scan", "101", "--stat", "restricted", "--eta", "2", "--format",
+      "csv"], []),
+    (["search", "--zaremba", "5", "--range", "2", "10"], ["json"]),
+    (["farey", "10", "--law", "vardi"], ["cfq.dedekind", "json"]),
+    (["farey", "10", "--law", "bd"], ["json"]),
+    (["constants"], ["cfq.theorems", "json"]),
 ])
 def test_command_loads_only_what_it_runs(argv, loaded):
-    out = _fresh("import json, runpy, sys\n"
+    out = _fresh("import runpy, sys\n"
                  f"sys.argv = ['cfq', *{argv!r}]\n"
                  "try:\n"
                  "    runpy.run_module('cfq.cli', run_name='__main__')\n"
                  "except SystemExit as exc:\n"
                  "    assert exc.code == 0, exc.code\n"
-                 "print(json.dumps(sorted(set(sys.modules) & set(%r))))\n"
-                 % HEAVY)
-    assert json.loads(out.splitlines()[-1]) == loaded
+                 "print(sorted(set(sys.modules) & set(%r)))\n" % WATCHED)
+    assert out.splitlines()[-1] == str(sorted(loaded))
 
 
 @pytest.mark.parametrize("name", sorted(PROBED))

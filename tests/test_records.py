@@ -12,12 +12,13 @@ import pytest
 
 from cfq.core import ContinuedFraction, ReducedFraction, WeightFn, Window
 from cfq.discrepancy import DiscrepancyReport, PointSet
-from cfq.ensemble import EnsembleSummary, StatSpec, TheoremConstants
+from cfq.ensemble import EnsembleSummary, StatSpec
 from cfq.errors import (BadRange, InvalidFraction, InvalidSpec,
                         InvalidWindow, LimitExceeded)
 from cfq.farey import VardiReport
 from cfq.reflect import ReflectionRecord
 from cfq.search import ExtremalRecord
+from cfq.theorems import TheoremConstants
 from cfq.weight import IntervalQ
 
 SRC = Path(__file__).resolve().parents[1] / "src"
