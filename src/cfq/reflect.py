@@ -9,12 +9,13 @@ a_r - 1, 1, reversing, and merging the trailing 1 into its predecessor
 gives a canonical expansion with numerator a* = N - q_{r-1}.
 Both maps are involutions on their half, and the convergent denominators
 of a/N and a*/N interlock so that matched products sum to N at every
-index.
+index.  The identity check walks a/N once, for its digits and a*, and
+a*/N once, for the denominators it is matched against.
 """
 
 from __future__ import annotations
 
-from .core import ContinuedFraction, ReducedFraction, Record, cf_walk, expand
+from .core import ReducedFraction, Record, cf_walk
 from .errors import WrongHalf
 
 
@@ -61,15 +62,21 @@ def verify_continuant_identity(frac: ReducedFraction) -> tuple[bool, list[tuple[
 
     q_{-1} = 0 throughout.  Returns (all_hold, [(i, lhs), ...]).
     """
-    cf = expand(frac)
-    r = cf.length
-    record = reflect(frac)
-    star = expand(record.image)
-    s = 0 if record.half == "lower" else 1  # the a* index shift
-
-    def q(table: ContinuedFraction, i: int) -> int:
-        return 0 if i < 0 else table.convergents[i][1]
-
-    witness = [(i, q(cf, i) * q(star, r - i + s) + q(cf, i - 1) * q(star, r - i - 1 + s))
+    a, N = frac.a, frac.N
+    digits, q_prev = cf_walk(a, N)
+    r = len(digits)
+    s = 0 if 2 * a <= N else 1  # the a* index shift
+    star_digits = cf_walk(N - q_prev if s else q_prev, N)[0]
+    # q[i + 1] = q_i of a/N and t[j + 1] = q_j of a*/N, from q_{-1} = 0
+    q, t = _denominators(digits), _denominators(star_digits)
+    witness = [(i, q[i + 1] * t[r - i + s + 1] + q[i] * t[r - i + s])
                for i in range(1 + s, r + 1 - s)]
-    return all(lhs == frac.N for _, lhs in witness), witness
+    return all(lhs == N for _, lhs in witness), witness
+
+
+def _denominators(digits: list[int]) -> list[int]:
+    """q_{-1} = 0, q_0 = 1, ..., q_r: the convergent denominators."""
+    q = [0, 1]
+    for d in digits:
+        q.append(d * q[-1] + q[-2])
+    return q

@@ -93,10 +93,11 @@ def _interval(pair: _Pair, m: int) -> IntervalQ:
     return IntervalQ(e2, e1, False, m > 1)
 
 
-def _measure(pair: _Pair, m: int, weight: Rational) -> Fraction:
-    """weight times the measure 1/((m Q + Q') ((m+1) Q + Q')), one Fraction."""
-    _, Q, _, Q1 = pair
-    return Fraction(weight, (m * Q + Q1) * ((m + 1) * Q + Q1))
+def _sum_terms(terms: list[tuple[Rational, int]]) -> Fraction:
+    """Exact sum of n/d over (n, d) terms: one integer sum over the lcm of
+    the denominators, and one Fraction at the end (n may be a Fraction)."""
+    L = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (L // d) for n, d in terms), L)
 
 
 def interval_I(b: int, k: int, m: int) -> IntervalQ:
@@ -158,12 +159,16 @@ def weight_eval(b: int, k: int, x, f: WeightFn, w: Window) -> Rational:
 
 
 def weight_row_at(a: int, N: int, k: int, f: WeightFn, w: Window) -> Rational:
-    """Sum of w(b/k, a/N) over b in Z_k*."""
+    """Sum of w(b/k, a/N) over b in Z_k* (0 for k < 1, which has no prefix)."""
+    if k < 1:
+        return 0
     # Both interval families around b/k live within 1/k^2 of b/k, so only
-    # numerators b with |a k - b N| <= N/k can contribute.
-    b0 = (a * k) // N
+    # numerators b with |a k - b N| k <= N can contribute: the b with
+    # a k^2 - N <= b N k <= a k^2 + N, of which at most one is prime to k
+    # once k >= 2.
+    Nk, ak2 = N * k, a * k * k
     total: Rational = 0
-    for b in range(max(1, b0 - 1), min(k, b0 + 2) + 1):
+    for b in range(max(1, -((N - ak2) // Nk)), min(k, (ak2 + N) // Nk) + 1):
         if math.gcd(b, k) == 1:
             for m in _hits_at_fraction(b, k, a, N):
                 if w.contains(m):
@@ -214,41 +219,39 @@ def integral_row(k: int, f: WeightFn, w: Window) -> tuple[Fraction, float]:
     theta = w.finite_theta()
     f.validate_on(w)
     weights = [(m, fm) for m in range(w.eta, theta + 1) if (fm := f(m))]
-    exact = Fraction(0)
+    terms = []
     phi_k = 0
     for b in range(1, k + 1):  # Z_k*, which is {1} for k = 1
         if math.gcd(b, k) != 1:
             continue
         phi_k += 1
-        for pair in prefix_convergents(b, k):
-            for m, fm in weights:
-                exact += _measure(pair, m, fm)
+        for _, Q, _, Q1 in prefix_convergents(b, k):
+            for m, fm in weights:  # fm times 1/((m Q + Q') ((m+1) Q + Q'))
+                terms.append((fm, (m * Q + Q1) * ((m + 1) * Q + Q1)))
     main = (2 * phi_k / k ** 2) * sum(
         float(f(m)) * math.log1p(1 / (m * (m + 2)))
         for m in range(w.eta, theta + 1))
-    return exact, main
+    return _sum_terms(terms), main
 
 
 def _bijection_rhs(k: int, f: WeightFn, w: Window) -> Fraction:
     """The row integral with q_{s-1}/k replaced by b/k over Z_k*.
 
     Sums f(m)/k^2 (1/((m + x)(m + 1 + x)) + 1/((m + 1 - x)(m + 2 - x)))
-    at x = b/k over the window, each term one Fraction of integers.
+    at x = b/k over the window; with x = b/k each term is f(m) over an
+    integer, (m k + b)((m + 1) k + b) or ((m + 1) k - b)((m + 2) k - b).
     """
-    kk = k * k
-    rhs = Fraction(0)
+    terms = []
     for m in range(w.eta, w.finite_theta() + 1):
         fm = f(m)
         if not fm:
             continue
-        acc = Fraction(0)
         for b in range(1, k):
             if math.gcd(b, k) != 1:
                 continue
-            acc += Fraction(kk, (m * k + b) * ((m + 1) * k + b))
-            acc += Fraction(kk, ((m + 1) * k - b) * ((m + 2) * k - b))
-        rhs += Fraction(fm, kk) * acc
-    return rhs
+            terms.append((fm, (m * k + b) * ((m + 1) * k + b)))
+            terms.append((fm, ((m + 1) * k - b) * ((m + 2) * k - b)))
+    return _sum_terms(terms)
 
 
 def bijection_identity_check(k: int, f: WeightFn, w: Window) -> bool:

@@ -1,11 +1,16 @@
+import importlib
 import math
 
 import pytest
 
-from cfq.core import ReducedFraction, cf_digits, convergents_of, expand
+from cfq.core import (ReducedFraction, cf_digits, cf_walk, convergents_of,
+                      expand)
 from cfq.errors import WrongHalf
 from cfq.reflect import (reflect, reflect_lower, reflect_upper,
                          verify_continuant_identity)
+
+# ``import cfq.reflect`` may give the function cfq.reflect.reflect.
+reflect_module = importlib.import_module("cfq.reflect")
 
 
 def test_lower_reverses_digits():
@@ -94,3 +99,47 @@ def test_reflections_match_digit_reversal():
             frac = ReducedFraction(a, N)
             image = reflect_lower(frac) if 2 * a <= N else reflect_upper(frac)
             assert image.a == _reversed_image(a, N), (a, N)
+
+
+def three_walk_continuant(frac):
+    """The identity check as three walks: expand a/N, reflect it (which
+    walks a/N again) and expand a*/N, reading q_i from the tables."""
+    cf = expand(frac)
+    r = cf.length
+    record = reflect(frac)
+    star = expand(record.image)
+    s = 0 if record.half == "lower" else 1
+
+    def q(table, i):
+        return 0 if i < 0 else table.convergents[i][1]
+
+    witness = [(i, q(cf, i) * q(star, r - i + s)
+                + q(cf, i - 1) * q(star, r - i - 1 + s))
+               for i in range(1 + s, r + 1 - s)]
+    return all(lhs == frac.N for _, lhs in witness), witness
+
+
+def test_continuant_identity_matches_three_walks():
+    for N in range(2, 301):
+        for a in range(1, N):
+            if math.gcd(a, N) == 1:
+                frac = ReducedFraction(a, N)
+                assert verify_continuant_identity(frac) == \
+                    three_walk_continuant(frac), (a, N)
+
+
+def test_continuant_identity_walks_twice(monkeypatch):
+    walked = []
+
+    def counting_walk(a, N):
+        walked.append((a, N))
+        return cf_walk(a, N)
+
+    monkeypatch.setattr(reflect_module, "cf_walk", counting_walk)
+    # one walk of a/N and one of a*/N, in both halves
+    for a, N in ((1, 2), (2, 7), (5, 7), (13, 21), (17, 25)):
+        frac = ReducedFraction(a, N)
+        image = reflect(frac).image
+        walked.clear()
+        verify_continuant_identity(frac)
+        assert walked == [(a, N), (image.a, N)]

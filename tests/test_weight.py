@@ -30,7 +30,7 @@ def _closed_measure(Q, Q1, m):
 
 
 def measure_I(b, k, m):
-    """Closed-form Lebesgue measure of I(b/k, m), the oracle for _measure."""
+    """Closed-form Lebesgue measure of I(b/k, m), the oracle for integral_row."""
     return _closed_measure(*_prefix_denominators(b, k)[0], m)
 
 
@@ -236,7 +236,7 @@ DIFF_WEIGHTS = (
 
 
 def test_integral_row_matches_fraction_form():
-    for k in range(1, 41):
+    for k in range(1, 121):
         for f, w in DIFF_WEIGHTS:
             ref = Fraction(0)
             for b in range(1, k + 1):
@@ -249,7 +249,7 @@ def test_integral_row_matches_fraction_form():
 
 
 def test_bijection_rhs_matches_fraction_form():
-    for k in range(2, 41):
+    for k in range(2, 121):
         for f, w in DIFF_WEIGHTS:
             ref = Fraction(0)
             for m in range(w.eta, w.theta + 1):
@@ -351,6 +351,34 @@ def test_weight_row_at_matches_eval():
                     for b in range(1, k + 1)
                     if math.gcd(b, k) == 1 and (b < k or k == 1))
         assert weight_row_at(a, N, k, f, w) == brute
+
+
+def test_row_window_matches_every_prefix():
+    # The window |a k - b N| k <= N against every b in Z_k*, for every
+    # a/N with N <= 60, reduced or not, and 1 <= k <= N + 1.  The brute
+    # side uses the uncached hit search, and the entries weight_row_at
+    # puts in the cache are dropped at the end.
+    hits_at = _hits_at_fraction.__wrapped__
+    f, w = WeightFn.identity(), Window(1)
+    for k in range(1, 62):
+        units = [b for b in range(1, k + 1) if math.gcd(b, k) == 1]
+        for N in range(max(2, k - 1), 61):
+            for a in range(1, N):
+                brute = sum(m for b in units for m in hits_at(b, k, a, N))
+                assert weight_row_at(a, N, k, f, w) == brute, (a, N, k)
+    _hits_at_fraction.cache_clear()
+
+
+def test_moduli_below_one_add_nothing():
+    f, w = WeightFn.identity(), Window(1, 6)
+    for N in range(2, 30):
+        for a in range(1, N):
+            assert weight_row_at(a, N, 0, f, w) == 0
+            assert weight_row_at(a, N, -3, f, w) == 0
+            if math.gcd(a, N) == 1:
+                frac = ReducedFraction(a, N)
+                assert counting_identity_check(frac, {0, -3, 1, 2}, f, w) \
+                    == counting_identity_check(frac, {1, 2}, f, w)
 
 
 def test_step_pieces():
