@@ -36,9 +36,9 @@ class Record:
 
     A subclass names its fields in __slots__ (at least two, so that their
     values form a tuple).  Record's __init__ binds its arguments, by
-    position or keyword, to those fields; a record that validates them, or
-    that is built once per fraction, writes its own __init__, which stores
-    them with object.__setattr__ (and then checks them).  Record adds the Name(field=value, ...) repr,
+    position or keyword, to those fields; a record writes its own __init__
+    only to validate its fields, storing them with object.__setattr__ and
+    then checking them.  Record adds the Name(field=value, ...) repr,
     pickling and copying through __init__, and AttributeError on
     assignment or deletion.  The records are plain slotted classes rather
     than generated ones: importing the standard library's class generator
@@ -141,13 +141,6 @@ class ContinuedFraction(Record):
     """Digit list plus convergent table of one reduced fraction."""
 
     __slots__ = ("digits", "convergents")
-
-    # Built once per fraction (expand), so spelled out: Record's generic
-    # __init__ takes about twice as long.
-    def __init__(self, digits: tuple[int, ...],
-                 convergents: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "convergents", convergents)
 
     @property
     def length(self) -> int:

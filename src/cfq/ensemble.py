@@ -124,16 +124,17 @@ class EnsembleSummary(Record):
         return Fraction(self.sumsq_scaled * self.count - self.sum_scaled ** 2,
                         (self.scale * self.count) ** 2)
 
-    # Python rounds int / int correctly, so each float below equals the
-    # float of the exact value above without building a Fraction.
+    # Python rounds int / int correctly, and float() of the Fraction that
+    # a table weight's sums give, so each float below equals the float of
+    # the exact value above, with no Fraction built from integer sums.
     @property
     def mean(self) -> float:
-        return self.sum_scaled / (self.scale * self.count)
+        return float(self.sum_scaled / (self.scale * self.count))
 
     @property
     def variance(self) -> float:
-        return ((self.sumsq_scaled * self.count - self.sum_scaled ** 2)
-                / (self.scale * self.count) ** 2)
+        return float((self.sumsq_scaled * self.count - self.sum_scaled ** 2)
+                     / (self.scale * self.count) ** 2)
 
     def tail_fraction(self, t: float) -> float:
         return self.tail_counts[t] / self.count

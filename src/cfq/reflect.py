@@ -20,15 +20,7 @@ from .errors import WrongHalf
 
 
 class ReflectionRecord(Record):
-    __slots__ = ("source", "image", "half")
-
-    # Built once per fraction (reflect), so spelled out: Record's generic
-    # __init__ takes about twice as long.
-    def __init__(self, source: ReducedFraction, image: ReducedFraction,
-                 half: str) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "half", half)  # "lower" or "upper"
+    __slots__ = ("source", "image", "half")  # half: "lower" or "upper"
 
 
 def reflect_lower(frac: ReducedFraction) -> ReducedFraction:

@@ -216,6 +216,8 @@ def integral_row(k: int, f: WeightFn, w: Window) -> tuple[Fraction, float]:
     exact sums the closed-form interval measures over b in Z_k*;
     main_term is (2 phi(k)/k^2) * sum f(m) log(1 + 1/(m(m+2))).
     """
+    if k < 1:
+        raise NotCoprime(f"row integral needs k >= 1, got k={k}")
     theta = w.finite_theta()
     f.validate_on(w)
     weights = [(m, fm) for m in range(w.eta, theta + 1) if (fm := f(m))]

@@ -466,12 +466,15 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
                        st.integers(2, 10 ** 8).map(lambda N: 24 * N)),
        total=st.one_of(st.integers(-2 ** 64, 2 ** 64),
                        st.integers(2 ** 53, 2 ** 120)),
-       spread=st.integers(0, 2 ** 130))
+       spread=st.integers(0, 2 ** 130),
+       den=st.one_of(st.just(1), st.integers(2, 10 ** 6)))
 def test_float_moments_equal_the_exact_ones_rounded(count, scale, total,
-                                                    spread):
+                                                    spread, den):
     # sumsq * count >= total^2 for any real data (Cauchy-Schwarz); spread
     # is the surplus, so the variance is any rational the data can give
     sumsq = -(-(total * total + spread) // count)
+    if den > 1:  # the Fraction sums of a table weight, over den and den^2
+        total, sumsq = Fraction(total, den), Fraction(sumsq, den * den)
     s = EnsembleSummary(N=2, phi=1, spec=StatSpec("S"), count=count,
                         scale=scale, sum_scaled=total, sumsq_scaled=sumsq,
                         tail_counts={}, counts=None, center=0.0,
@@ -479,5 +482,17 @@ def test_float_moments_equal_the_exact_ones_rounded(count, scale, total,
     assert s.exact_mean == Fraction(total, scale * count)
     assert s.exact_variance == (Fraction(sumsq, scale ** 2 * count)
                                 - Fraction(total, scale * count) ** 2)
-    assert s.mean == float(s.exact_mean)
+    assert type(s.mean) is float and s.mean == float(s.exact_mean)
+    assert type(s.variance) is float
+    assert s.variance == float(s.exact_variance)
+
+
+def test_moments_of_a_table_weight_are_floats():
+    # a table weight's values are Fractions, and so are the scan's sums
+    spec = StatSpec("restricted", eta=1, theta=7,
+                    f=WeightFn.from_table([1 / 3, 1 / 2, 1, 2, 3, 5, 8]))
+    s = scan(11, spec)
+    assert type(s.sum_scaled) is Fraction
+    assert type(s.mean) is float and s.mean == float(s.exact_mean)
+    assert type(s.variance) is float
     assert s.variance == float(s.exact_variance)

@@ -1,8 +1,10 @@
 """The contract of the immutable records, and what importing the CLI loads."""
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from cfq.core import ContinuedFraction, ReducedFraction, WeightFn, Window
+import cfq
+from cfq.core import (ContinuedFraction, Record, ReducedFraction, WeightFn,
+                      Window)
 from cfq.discrepancy import DiscrepancyReport, PointSet
 from cfq.ensemble import EnsembleSummary, StatSpec
 from cfq.errors import (BadRange, InvalidFraction, InvalidSpec,
@@ -128,7 +132,30 @@ def test_record_contract(cls):
     assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
 
 
+def _record_classes():
+    for info in pkgutil.iter_modules(cfq.__path__):
+        importlib.import_module(f"cfq.{info.name}")
+    todo, found = [Record], []
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return found
+
+
+def test_only_validating_records_write_their_own_constructor():
+    # Record's generic __init__ builds every record; a record writes its
+    # own only to validate its fields, and RECORDS then tests a bad case
+    classes = _record_classes()
+    assert set(classes) == set(RECORDS)
+    own = {cls for cls in classes if "__init__" in vars(cls)}
+    assert sorted(cls.__name__ for cls in own if not RECORDS[cls][2]) == []
+    assert {cls.__name__ for cls in own} == {
+        "ReducedFraction", "Window", "StatSpec", "IntervalQ", "PointSet"}
+
+
 def test_generic_constructor_binds_every_field_once():
+    assert ContinuedFraction.__init__ is Record.__init__
     digits, table = RECORDS[ContinuedFraction][1]
     assert ContinuedFraction(digits, convergents=table) == ContinuedFraction(
         convergents=table, digits=digits)

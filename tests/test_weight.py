@@ -40,6 +40,11 @@ def measure_Iprime(b, k, m):
 
 
 def brute_hits(b, k, x, m_max):
+    """Every digit m <= m_max whose I(b/k, m) or I'(b/k, m) holds x.
+
+    A hit m is a partial quotient of x (or, at an endpoint, the
+    denominator of x is m Q + Q' >= m), so m_max = x.denominator finds
+    every hit."""
     out = []
     for m in range(1, m_max + 1):
         if interval_I(b, k, m).contains(x):
@@ -137,7 +142,8 @@ def test_hits_against_brute():
         den = random.randint(2, 120)
         num = random.randint(1, den - 1)
         x = Fraction(num, den)
-        assert sorted(weight_hits(b, k, x)) == brute_hits(b, k, x, 300)
+        hits = brute_hits(b, k, x, x.denominator)
+        assert sorted(weight_hits(b, k, x)) == hits
 
 
 def test_integer_hits_against_brute_unreduced():
@@ -151,8 +157,9 @@ def test_integer_hits_against_brute_unreduced():
         den = random.randint(2, 60)
         num = random.randint(1, den - 1)
         g = random.randint(1, 4)
+        x = Fraction(num, den)
         assert sorted(_hits_at_fraction(b, k, g * num, g * den)) == \
-            brute_hits(b, k, Fraction(num, den), 300), (b, k, num, den, g)
+            brute_hits(b, k, x, x.denominator), (b, k, num, den, g)
 
 
 def fraction_hits(b, k, x):
@@ -322,6 +329,12 @@ def test_integral_row_exact_vs_measures():
                 brute += measure_I(b, k, m) + measure_Iprime(b, k, m)
         assert exact == brute
         assert abs(float(exact) - main) < 0.3 / k ** 2 + 0.05
+
+
+def test_integral_row_rejects_moduli_below_one():
+    for k in (0, -3):
+        with pytest.raises(NotCoprime):
+            integral_row(k, WeightFn.one(), Window(1, 5))
 
 
 def test_row_sum_averages_counting_identity():
