@@ -435,5 +435,18 @@ def main(argv=None) -> int:
                 os.remove(tmp)
 
 
+def entry() -> NoReturn:
+    """The process entry (``python -m cfq.cli`` and the ``cfq`` script).
+    Once main has written its output, replaced an -o file and closed any
+    worker pool, gc.freeze() lets the collection at exit skip the objects
+    that die with the process; a library caller of main keeps collecting."""
+    import gc
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import stat
@@ -70,6 +71,18 @@ def test_scan_range_streams(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert [json.loads(l)["N"] for l in lines] == [3, 4, 5, 6]
+
+
+def test_scan_negative_thresholds_after_equals(capsys):
+    # argparse reads "-1,0" after "--t" as an option; "--t=" passes it on
+    code, out, _ = run(capsys, "scan", "4", "--stat", "M", "--format", "csv",
+                       "--t=-1,0")
+    assert code == 0
+    assert out.splitlines()[0] == "N,phi,stat,mean,variance,tail@-1,tail@0"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "4", "--stat", "M", "--t", "-1,0"])
+    assert exc.value.code == 2
+    assert "--t: expected one argument" in capsys.readouterr().err
 
 
 def test_scan_requires_one_target(capsys):
@@ -325,3 +338,68 @@ def test_discrepancy_result_past_the_print_digits_exits_4(tmp_path):
                                "denominators of at most 4300 digits\n")
     assert path.read_text() == "earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scan", "101"], 0),
+    (["-o", "OUT", "scan", "101"], 0),
+    (["expand", "10", "4"], 3),
+])
+def test_main_leaves_collection_alone(tmp_path, capsys, argv, code):
+    # only the process entry freezes the heap before exit; a library
+    # caller of main keeps normal collection
+    argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+    before = gc.get_freeze_count()
+    assert main(argv) == code
+    assert gc.get_freeze_count() == before
+
+
+def _process(argv):
+    """Exit code, stdout and stderr of a fresh `python -m cfq.cli`."""
+    proc = subprocess.run([sys.executable, "-m", "cfq.cli", *argv],
+                          env=_src_env(), capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    """The same three for main called in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out.encode(), out.err.encode()
+
+
+@pytest.mark.parametrize("argv, code", [
+    # more output than a 64 KiB pipe buffer holds
+    (["scan", "--range", "2", "2000", "--format", "csv"], 0),
+    (["--help"], 0),
+    (["expand", "ten", "7"], 2),
+    (["expand", "10", "4"], 3),
+    (["scan", str(10 ** 15)], 4),
+    # the fork path
+    (["scan", "10007", "--stat", "D", "--t", "1", "--workers", "2"], 0),
+])
+def test_process_matches_in_process(monkeypatch, capsys, argv, code):
+    # the process entry freezes the heap before the interpreter exits; its
+    # exit code, stdout and stderr stay those of main called in-process
+    monkeypatch.setenv("COLUMNS", "80")  # the --help width, both ways
+    got = _in_process(capsys, argv)
+    assert got[0] == code
+    assert (bool(got[1]), bool(got[2])) == (code == 0, code != 0)
+    if "--range" in argv:
+        assert len(got[1]) > 1 << 16
+    assert _process(argv) == got
+
+
+def test_process_output_file_matches_in_process(tmp_path, capsys):
+    argv = ["scan", "--range", "2", "300", "--format", "csv"]
+    assert main(["-o", str(tmp_path / "main.csv"), *argv]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert _process(["-o", str(tmp_path / "proc.csv"), *argv]) == (0, b"", b"")
+    assert ((tmp_path / "proc.csv").read_bytes()
+            == (tmp_path / "main.csv").read_bytes())
+    # no FILE.<pid>.tmp is left next to either file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["main.csv",
+                                                          "proc.csv"]

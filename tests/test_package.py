@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -202,3 +203,18 @@ def test_cli_calls_the_names_patched_on_it(monkeypatch, capsys, name):
     assert cli.main(PROBED[name]) == 0
     assert calls
     assert capsys.readouterr().out
+
+
+def test_console_script_takes_the_process_entry():
+    # the cfq script runs what `python -m cfq.cli` runs; Python 3.10 has
+    # no tomllib, so the target is read with a regex
+    text = (SRC.parent / "pyproject.toml").read_text()
+    found = re.search(r'^\[project\.scripts\]\ncfq = "cfq\.cli:(\w+)"$',
+                      text, re.M)
+    assert found, "no cfq = \"cfq.cli:NAME\" under [project.scripts]"
+    tree = ast.parse(Path(cli.__file__).read_text())
+    blocks = [node.body for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [
+        [f"{found[1]}()"]]
+    assert callable(getattr(cli, found[1]))
