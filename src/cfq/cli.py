@@ -15,23 +15,47 @@ import math
 import os
 import stat
 import sys
+from importlib import import_module
 from typing import TYPE_CHECKING, NoReturn
 
-from .core import ReducedFraction, WeightFn, Window, expand, stat_alt, stat_max, stat_sum
-from .ensemble import StatSpec, digit_histogram, scan
 from .errors import (DISCREPANCY_LIMIT, FAREY_LIMIT, HISTOGRAM_LIMIT,
                      PRINT_DIGITS_LIMIT, SCAN_LIMIT, SEARCH_LIMIT, CfqError,
                      LimitExceeded)
-# farey and search stay here, not in their commands: a traced benchmark run
-# times them by patching these names on this module.
-from .farey import bd_tail, hensley_tail, vardi_sample
-from .search import _check_N, min_max_quotient, min_sum, zaremba_scan
 
-# fractions and json are imported where a command builds a Fraction or
-# prints JSON, so scan, gk, search and farey load no fractions, and the
-# commands that print CSV load no json.
+# Every other module is imported by the command that runs it, so the parser
+# compiles only this module and errors; fractions and json are imported
+# where a command builds a Fraction or prints JSON.
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .core import WeightFn
+    from .ensemble import StatSpec
+
+
+def _on_call(module: str, name: str):
+    """A stand-in for cfq.<module>.<name> that imports the module at its
+    first call; it keeps the function in its own cell, not on this module,
+    so a name patched here after that call still sees every later call."""
+    real = None
+
+    def call(*args, **kwargs):
+        nonlocal real
+        if real is None:
+            real = getattr(import_module(f"cfq.{module}"), name)
+        return real(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# Module-level, since a traced benchmark run patches these eight on cfq.cli.
+scan = _on_call("ensemble", "scan")
+digit_histogram = _on_call("ensemble", "digit_histogram")
+min_max_quotient = _on_call("search", "min_max_quotient")
+min_sum = _on_call("search", "min_sum")
+zaremba_scan = _on_call("search", "zaremba_scan")
+hensley_tail = _on_call("farey", "hensley_tail")
+vardi_sample = _on_call("farey", "vardi_sample")
+bd_tail = _on_call("farey", "bd_tail")
 
 
 def _frac_str(x) -> str:
@@ -41,6 +65,7 @@ def _frac_str(x) -> str:
 
 
 def _weight_from_name(name: str) -> WeightFn:
+    from .core import WeightFn
     return {"one": WeightFn.one(), "identity": WeightFn.identity(),
             "square": WeightFn.square()}[name]
 
@@ -112,6 +137,7 @@ def float_list(text: str) -> list[float]:
 
 
 def cmd_expand(args, out) -> int:
+    from .core import ReducedFraction, expand, stat_alt, stat_max, stat_sum
     from .dedekind import dedekind_bh
     frac = ReducedFraction(args.a, args.N)
     cf = expand(frac)
@@ -130,6 +156,7 @@ def cmd_expand(args, out) -> int:
 
 
 def _spec_from_args(args) -> StatSpec:
+    from .ensemble import StatSpec
     if args.stat == "L":
         return StatSpec("L", b=args.b, c=args.c)
     if args.stat == "restricted":
@@ -187,6 +214,7 @@ def cmd_scan(args, out) -> int:
 
 
 def cmd_dedekind(args, out) -> int:
+    from .core import ReducedFraction
     from .dedekind import dedekind_bh
     d = dedekind_bh(ReducedFraction(args.a, args.N))
     _emit_json(out, {"N": args.N, "a": args.a, "D": _frac_str(d),
@@ -195,7 +223,6 @@ def cmd_dedekind(args, out) -> int:
 
 
 def cmd_discrepancy(args, out) -> int:
-    # Imported here, so the other commands do not load discrepancy and weight.
     from .discrepancy import reduced_fraction_discrepancy
     from .weight import IntervalQ
     rng = IntervalQ(args.lo, args.hi, True, True)
@@ -224,6 +251,7 @@ def cmd_search(args, out) -> int:
         _emit_json(out, {"K": args.zaremba, "range": [lo, hi],
                          "without_witness": bad})
         return 0
+    from .search import _check_N
     finder = min_sum if args.min_stat == "S" else min_max_quotient
     _check_N(lo)  # both ends, before the CSV header is written
     _check_N(hi)
@@ -267,6 +295,7 @@ def cmd_gk(args, out) -> int:
 
 
 def cmd_constants(args, out) -> int:
+    from .core import Window
     from .theorems import constants
     tc = constants(_weight_from_name(args.f), Window(args.eta, args.theta),
                    args.b, args.c)

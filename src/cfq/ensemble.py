@@ -81,21 +81,28 @@ class StatSpec(Record):
         return self.kind
 
 
+def _prime_factors(N: int) -> list[int]:
+    """The distinct primes dividing N >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= N:
+        if N % p == 0:
+            primes.append(p)
+            while N % p == 0:
+                N //= p
+        p += 1 if p == 2 else 2
+    if N > 1:
+        primes.append(N)
+    return primes
+
+
 def euler_phi(N: int) -> int:
     """phi(N) by trial-division factorization."""
     if N < 1:
         raise InvalidSpec(f"phi needs N >= 1, got {N}")
     result = N
-    n = N
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            result -= result // p
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
+    for p in _prime_factors(N):
+        result -= result // p
     return result
 
 
@@ -182,15 +189,21 @@ def _representatives(N: int, lo: int, hi: int):
     """(a, a*, digits of a/N), all from one walk, for each orbit
     representative a in [lo, hi): a coprime to N with a <= a* = q_{r-1}(a).
 
-    Each block of MARK_BLOCK numerators marks the partners a* > a inside
-    it, which are then not walked; a partner of a representative in an
-    earlier block or range costs one discarded walk.
+    Each block of MARK_BLOCK numerators marks in one table the multiples
+    of N's prime factors, one slice per factor, and the partners a* > a
+    inside it, so neither is walked and no numerator pays a gcd; a partner
+    of a representative in an earlier block or range costs one discarded
+    walk.
     """
+    primes = _prime_factors(N)
     for start in range(lo, hi, MARK_BLOCK):
         end = min(start + MARK_BLOCK, hi)
         seen = bytearray(end - start)
+        for p in primes:
+            multiples = range(-start % p, end - start, p)
+            seen[multiples.start::p] = b"\1" * len(multiples)
         for a in range(start, end):
-            if seen[a - start] or math.gcd(a, N) != 1:
+            if seen[a - start]:
                 continue
             digits, star = cf_walk(a, N)
             if a <= star:

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -458,6 +459,37 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
         assert scan(N, StatSpec("M"), with_histogram=True).histogram == \
             Counter(max(cf_digits(a, N)) for a in range(1, N)
                     if math.gcd(a, N) == 1)
+
+
+def _gcd_filter_representatives(N, lo, hi, block):
+    """The gcd-filter oracle of _representatives: a gcd per numerator, and
+    partners marked per block of `block` numerators."""
+    for start in range(lo, hi, block):
+        end = min(start + block, hi)
+        seen = bytearray(end - start)
+        for a in range(start, end):
+            if seen[a - start] or math.gcd(a, N) != 1:
+                continue
+            digits, star = cf_walk(a, N)
+            if a <= star:
+                if star < end:
+                    seen[star - start] = 1
+                yield a, star, digits
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 2 ** 22])
+def test_representatives_match_gcd_filter(monkeypatch, block):
+    # unaligned [lo, hi), so a block starts off every multiple of a factor
+    monkeypatch.setattr("cfq.ensemble.MARK_BLOCK", block)
+    rng = random.Random(block)
+    for N in [*range(2, 200), 210, 360, 512, 729, 1001, 2310]:
+        half = N // 2 + 1
+        ranges = [(1, half)] + [sorted((rng.randint(1, half),
+                                        rng.randint(1, half)))
+                                for _ in range(3)]
+        for lo, hi in ranges:
+            assert list(_representatives(N, lo, hi)) == list(
+                _gcd_filter_representatives(N, lo, hi, block)), (N, lo, hi)
 
 
 @settings(max_examples=300, deadline=None)

@@ -53,13 +53,17 @@ PROBED = {
     "bd_tail": ["farey", "10", "--law", "bd"],
 }
 
-# Modules that some commands do not need: discrepancy and weight only
-# discrepancy loads; dedekind only D; theorems only constants; fractions
+# Modules that some commands do not need: core every command but --help
+# loads; ensemble scan, gk, search, farey and constants; search only
+# search; farey only farey; discrepancy and weight only discrepancy;
+# dedekind only D, expand and dedekind; theorems only constants; fractions
 # (with the decimal and numbers it imports) only a command that builds a
 # Fraction; json only a command that prints JSON.  No command loads reflect.
-WATCHED = ["cfq.dedekind", "cfq.discrepancy", "cfq.reflect", "cfq.theorems",
+WATCHED = ["cfq.core", "cfq.dedekind", "cfq.discrepancy", "cfq.ensemble",
+           "cfq.farey", "cfq.reflect", "cfq.search", "cfq.theorems",
            "cfq.weight", "decimal", "fractions", "json", "numbers"]
 EXACT = ["decimal", "fractions", "numbers"]
+SCAN = ["cfq.core", "cfq.ensemble"]
 
 def _fresh(script: str) -> str:
     """stdout of script run in a fresh interpreter that finds cfq in src/."""
@@ -157,27 +161,36 @@ def test_importing_cli_loads_no_command_only_module():
                  "import cfq\n"
                  "print(sorted(m for m in sys.modules if m.startswith('cfq.')))\n"
                  "import cfq.cli\n"
-                 "print(sorted(set(sys.modules) & set(%r)))\n" % WATCHED)
-    assert out == "[]\n[]\n"
+                 "print(sorted(set(sys.modules) & set(%r)))\n"
+                 "print(sorted(m for m in sys.modules if m.startswith('cfq.')))\n"
+                 % WATCHED)
+    assert out == "[]\n[]\n['cfq.cli', 'cfq.errors']\n"
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["scan", "101", "--stat", "S"], ["json"]),
-    (["gk", "101"], []),
-    (["search", "--range", "2", "10"], []),
-    (["farey", "10"], ["json"]),
-    (["discrepancy", "6"], ["cfq.discrepancy", "cfq.weight", *EXACT, "json"]),
-    (["scan", "101", "--stat", "D", "--t", "1"], ["cfq.dedekind", "json"]),
-    (["scan", "--range", "3", "20", "--stat", "M", "--format", "csv"], []),
+    (["--help"], []),
+    (["scan", "101", "--stat", "S"], [*SCAN, "json"]),
+    (["gk", "101"], SCAN),
+    (["search", "--range", "2", "10"], [*SCAN, "cfq.search"]),
+    (["farey", "10"], [*SCAN, "cfq.farey", "json"]),
+    (["discrepancy", "6"], ["cfq.core", "cfq.discrepancy", "cfq.weight",
+                            *EXACT, "json"]),
+    (["expand", "10", "7"], ["cfq.core", "cfq.dedekind", *EXACT, "json"]),
+    (["dedekind", "10", "3"], ["cfq.core", "cfq.dedekind", *EXACT, "json"]),
+    (["scan", "101", "--stat", "D", "--t", "1"],
+     [*SCAN, "cfq.dedekind", "json"]),
+    (["scan", "--range", "3", "20", "--stat", "M", "--format", "csv"], SCAN),
     (["scan", "101", "--stat", "L", "--b", "1", "--c", "2", "--format",
-      "csv"], []),
-    (["scan", "101", "--stat", "S_alt", "--format", "csv"], []),
+      "csv"], SCAN),
+    (["scan", "101", "--stat", "S_alt", "--format", "csv"], SCAN),
     (["scan", "101", "--stat", "restricted", "--eta", "2", "--format",
-      "csv"], []),
-    (["search", "--zaremba", "5", "--range", "2", "10"], ["json"]),
-    (["farey", "10", "--law", "vardi"], ["cfq.dedekind", "json"]),
-    (["farey", "10", "--law", "bd"], ["json"]),
-    (["constants"], ["cfq.theorems", "json"]),
+      "csv"], SCAN),
+    (["search", "--zaremba", "5", "--range", "2", "10"],
+     [*SCAN, "cfq.search", "json"]),
+    (["farey", "10", "--law", "vardi"],
+     [*SCAN, "cfq.dedekind", "cfq.farey", "json"]),
+    (["farey", "10", "--law", "bd"], [*SCAN, "cfq.farey", "json"]),
+    (["constants"], [*SCAN, "cfq.theorems", "json"]),
 ])
 def test_command_loads_only_what_it_runs(argv, loaded):
     out = _fresh("import runpy, sys\n"
@@ -203,6 +216,34 @@ def test_cli_calls_the_names_patched_on_it(monkeypatch, capsys, name):
     assert cli.main(PROBED[name]) == 0
     assert calls
     assert capsys.readouterr().out
+
+
+def test_probed_names_load_their_module_when_called():
+    # Each probed name is cli's own function, whose module import cfq.cli
+    # does not load; its first call loads it without rebinding the name, so
+    # a probe patched on cli after that call still sees the later calls.
+    out = _fresh("import contextlib, io, sys\n"
+                 "from cfq import cli\n"
+                 f"PROBED = {PROBED!r}\n"
+                 "assert not {'cfq.ensemble', 'cfq.farey', 'cfq.search'}"
+                 " & set(sys.modules)\n"
+                 "for name, argv in sorted(PROBED.items()):\n"
+                 "    real = vars(cli)[name]\n"
+                 "    assert real.__module__ == 'cfq.cli', name\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        assert cli.main(argv) == 0\n"
+                 "    assert vars(cli)[name] is real, name\n"
+                 "    calls = []\n"
+                 "    def probe(*args, **kwargs):\n"
+                 "        calls.append(args)\n"
+                 "        return real(*args, **kwargs)\n"
+                 "    cli.__dict__[name] = probe\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        assert cli.main(argv) == 0\n"
+                 "    cli.__dict__[name] = real\n"
+                 "    assert calls, name\n"
+                 "    print(name)\n")
+    assert out.split() == sorted(PROBED)
 
 
 def test_console_script_takes_the_process_entry():
