@@ -7,12 +7,14 @@ full Euclid walk: it yields the digits together with q_{r-1}, the
 next-to-last convergent denominator, which fixes the digit-reversed
 partner a* and the Dedekind sum.  cf_digits is its digit list; every
 statistic of the whole expansion is a fold of that list (sum, max,
-count_in, alt_sum, windowed_sum).
+count_in, alt_sum, windowed_sum).  _units is the one enumeration of Z_N*,
+a prime-factor sieve (_unit_blocks) that takes no gcd per numerator.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, compress, starmap
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
@@ -22,6 +24,10 @@ from .errors import InvalidFraction, InvalidWeight, InvalidWindow, LimitExceeded
 #: that downstream consumers can rely on products q_i * q_{i-1} staying well
 #: inside machine-word range in any 128-bit backend they may hand data to.
 MAX_DENOMINATOR = 1 << 62
+
+#: Numerators per block of a Z_N* enumeration: each block is one table of
+#: this many bytes, so memory stays bounded whatever N is.
+MARK_BLOCK = 1 << 22
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -106,6 +112,39 @@ class ReducedFraction(Record):
             raise InvalidFraction(f"numerator {a} not in [1, {N - 1}]")
         if math.gcd(a, N) != 1:
             raise InvalidFraction(f"gcd({a}, {N}) != 1")
+
+
+def _prime_factors(N: int) -> list[int]:
+    """The distinct primes dividing N >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= N:
+        if N % p == 0:
+            primes.append(p)
+            while N % p == 0:
+                N //= p
+        p += 1 if p == 2 else 2
+    if N > 1:
+        primes.append(N)
+    return primes
+
+
+def _unit_blocks(N: int, lo: int, hi: int):
+    """(block, table) for each block of MARK_BLOCK numerators in [lo, hi):
+    table[i] is 1 when block[i] is prime to N, else 0."""
+    primes = _prime_factors(N)
+    for start in range(lo, hi, MARK_BLOCK):
+        block = range(start, min(start + MARK_BLOCK, hi))
+        table = bytearray(b"\1") * len(block)
+        for p in primes:
+            multiples = range(-start % p, len(block), p)
+            table[multiples.start::p] = bytes(len(multiples))
+        yield block, table
+
+
+def _units(N: int, lo: int, hi: int):
+    """The numerators in [lo, hi) prime to N, ascending: Z_N* for [1, N)."""
+    return chain.from_iterable(starmap(compress, _unit_blocks(N, lo, hi)))
 
 
 def cf_walk(a: int, N: int) -> tuple[list[int], int]:

@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Rational, Record
+from .core import Rational, Record, _units
 from .errors import (DISCREPANCY_LIMIT, BadRange, BadSpec, EmptySet,
                      LimitExceeded)
 from .weight import IntervalQ
@@ -62,7 +62,7 @@ class PointSet(Record):
         if N > DISCREPANCY_LIMIT:
             raise LimitExceeded(f"reduced fractions capped at N = "
                                 f"{DISCREPANCY_LIMIT}")
-        return cls(N, tuple(a for a in range(1, N) if math.gcd(a, N) == 1))
+        return cls(N, tuple(_units(N, 1, N)))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 import os
 from functools import cache
-from itertools import chain
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Optional
 
-from .core import (Record, WeightFn, Window, alt_sum, cf_walk, count_in,
-                   windowed_sum)
+from .core import (Record, WeightFn, Window, _prime_factors, _unit_blocks,
+                   alt_sum, cf_walk, count_in, windowed_sum)
 from .errors import (HISTOGRAM_LIMIT, SCAN_LIMIT, InvalidSpec, InvariantError,
                      LimitExceeded)
 
@@ -40,10 +40,6 @@ if TYPE_CHECKING:
 PI2 = math.pi ** 2
 
 STAT_KINDS = ("S", "M", "L", "S_alt", "D", "restricted")
-
-#: Numerators per block of a scan range: each block marks partners in a
-#: table of this many bytes, so memory stays bounded whatever N is.
-MARK_BLOCK = 1 << 22
 
 
 class StatSpec(Record):
@@ -79,21 +75,6 @@ class StatSpec(Record):
             hi = "inf" if self.theta is None else self.theta
             return f"restricted[{self.eta},{hi}]"
         return self.kind
-
-
-def _prime_factors(N: int) -> list[int]:
-    """The distinct primes dividing N >= 1, ascending, by trial division."""
-    primes = []
-    p = 2
-    while p * p <= N:
-        if N % p == 0:
-            primes.append(p)
-            while N % p == 0:
-                N //= p
-        p += 1 if p == 2 else 2
-    if N > 1:
-        primes.append(N)
-    return primes
 
 
 def euler_phi(N: int) -> int:
@@ -189,26 +170,16 @@ def _representatives(N: int, lo: int, hi: int):
     """(a, a*, digits of a/N), all from one walk, for each orbit
     representative a in [lo, hi): a coprime to N with a <= a* = q_{r-1}(a).
 
-    Each block of MARK_BLOCK numerators marks in one table the multiples
-    of N's prime factors, one slice per factor, and the partners a* > a
-    inside it, so neither is walked and no numerator pays a gcd; a partner
-    of a representative in an earlier block or range costs one discarded
-    walk.
+    A representative clears its partner a* > a in its block's table from
+    core._unit_blocks, which compress reads as it goes, so a* is not
+    walked; a partner in an earlier block or range costs a discarded walk.
     """
-    primes = _prime_factors(N)
-    for start in range(lo, hi, MARK_BLOCK):
-        end = min(start + MARK_BLOCK, hi)
-        seen = bytearray(end - start)
-        for p in primes:
-            multiples = range(-start % p, end - start, p)
-            seen[multiples.start::p] = b"\1" * len(multiples)
-        for a in range(start, end):
-            if seen[a - start]:
-                continue
+    for block, table in _unit_blocks(N, lo, hi):
+        for a in compress(block, table):
             digits, star = cf_walk(a, N)
             if a <= star:
-                if star < end:
-                    seen[star - start] = 1
+                if star < block.stop:
+                    table[star - block.start] = 0
                 yield a, star, digits
 
 

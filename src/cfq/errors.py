@@ -53,7 +53,7 @@ class LimitExceeded(CfqError):
 # text can quote them without loading the modules that enforce them.
 
 #: Largest N of scan and digit_histogram.  Their memory stays near one
-#: ensemble.MARK_BLOCK table whatever N is (21 MB at N = 10^7), but their
+#: core.MARK_BLOCK table whatever N is (21 MB at N = 10^7), but their
 #: time grows with N: 11-15 s on one CPU at 10^7, so about 2-3 min at the
 #: limit.
 SCAN_LIMIT = 10 ** 8

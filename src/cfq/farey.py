@@ -4,9 +4,9 @@ The ensemble here averages over denominators as well as numerators, which
 is the setting in which the classical limit laws (Hensley for the maximal
 digit, Vardi's Cauchy law for Dedekind sums, the stable tail for the digit
 sum) are actually proven.  Each law reads the ensemble.scan summary of
-every Z_N*: hensley its tail counts at t ln N, vardi and bd its histogram
-counts over its member count.  Statistics normalized by ln N or ln ln N
-skip members with N = 2 so the normalization is never degenerate.
+every Z_N*: hensley and bd its tail counts at t ln N (bd about its
+center), vardi its histogram counts.  Statistics normalized by ln N or
+ln ln N skip members with N = 2 so the normalization is never degenerate.
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ def enumerate_farey(Q: int):
         x0, y0, x1, y1 = x1, y1, k * x1 - x0, k * y1 - y0
 
 
-def _scans(Q: int, kind: str, **options):
-    """F_Q without 1/2 as the ensemble.scan(N, kind, **options) summaries
-    over Z_N*, for 3 <= N <= Q.  Q is checked at the call, not at the
-    first N."""
+def _scans(Q: int) -> range:
+    """The N whose Z_N* make up F_Q without 1/2: 3 <= N <= Q."""
     if Q < 3:
         raise BadRange(f"need Q >= 3, got {Q}")
     if Q > FAREY_LIMIT:
         raise LimitExceeded(f"Farey order capped at Q = {FAREY_LIMIT}")
-    return (scan(N, StatSpec(kind), **options) for N in range(3, Q + 1))
+    return range(3, Q + 1)
 
 
 def hensley_tail(Q: int, t: float) -> tuple[float, float]:
@@ -49,11 +47,12 @@ def hensley_tail(Q: int, t: float) -> tuple[float, float]:
 
     Sums the scans' tail counts at t.  Members with N = 2 are skipped.
     """
-    scans = _scans(Q, "M", thresholds=[t])
+    denominators = _scans(Q)
     if t <= 0:
         raise BadRange(f"need t > 0, got {t}")
     hits = total = 0
-    for summary in scans:
+    for N in denominators:
+        summary = scan(N, StatSpec("M"), thresholds=[t])
         hits += summary.tail_counts[t]
         total += summary.count
     return hits / total, hensley_limit(t)
@@ -75,11 +74,12 @@ def vardi_sample(Q: int, probes: tuple = (-4.0, -2.0, -1.0, -0.5, 0.0,
     Report-only: empirical CDF at the probe points and the sup distance
     over those probes.  Members with N = 2 are skipped.
     """
-    scans = _scans(Q, "D", with_histogram=True)
+    denominators = _scans(Q)
     probes = tuple(sorted(probes))
     below = [0] * len(probes)
     total = 0
-    for summary in scans:
+    for N in denominators:
+        summary = scan(N, StatSpec("D"), with_histogram=True)
         total += summary.count
         for raw, mult in summary.counts.items():  # D = raw/scale
             v = 2 * math.pi * raw / (summary.scale * math.log(summary.N))
@@ -100,12 +100,10 @@ def bd_tail(Q: int, t: float) -> tuple[float, float]:
     t * fraction).  Report-only; members with N = 2 are skipped.
     """
     hits = total = 0
-    for summary in _scans(Q, "S", with_histogram=True):
-        logN = math.log(summary.N)
-        center = digit_sum_center(summary.N)
+    for N in _scans(Q):
+        summary = scan(N, StatSpec("S"), thresholds=[t],
+                       center=digit_sum_center(N))
+        hits += summary.tail_counts[t]
         total += summary.count
-        for s, mult in summary.counts.items():
-            if (s - center) / logN >= t:
-                hits += mult
     frac_ = hits / total
     return frac_, t * frac_

@@ -3,14 +3,15 @@
 Small values of S(a/N) or M(a/N) mark good lattice points.  Both minima
 are exact; ties go to the smallest numerator.  The S minimum walks one
 member per symmetry orbit of Z_N*; the M search and the Zaremba scan walk
-all of Z_N*, pruned at the first digit reaching a bound.
+all of Z_N* as core._units enumerates it, with no gcd per numerator,
+pruned at the first digit reaching a bound.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import Record
+from .core import Record, _units
 from .ensemble import _representatives, digit_sum_center
 from .errors import SEARCH_LIMIT, BadRange, InvariantError, LimitExceeded
 
@@ -63,11 +64,10 @@ def min_max_quotient(N: int) -> ExtremalRecord:
     """Minimum of M(a/N) over Z_N*; always at most 3 ln N."""
     _check_N(N)
     best, best_a = N + 1, None  # every digit of a/N is at most N
-    for a in range(1, N):
-        if math.gcd(a, N) == 1:
-            m = _max_digit_below(a, N, best)
-            if m is not None:
-                best, best_a = m, a
+    for a in _units(N, 1, N):
+        m = _max_digit_below(a, N, best)
+        if m is not None:
+            best, best_a = m, a
     bound = 3 * math.log(N)
     if best > bound:
         raise InvariantError(f"min M over Z_{N}* is {best} > 3 ln N = {bound}")
@@ -89,9 +89,8 @@ def zaremba_scan(N_lo: int, N_hi: int, K: int) -> list[int]:
     _check_N(N_hi)
     bad = []
     for N in range(N_lo, N_hi + 1):
-        for a in range(1, N):
-            if (math.gcd(a, N) == 1
-                    and _max_digit_below(a, N, K + 1) is not None):
+        for a in _units(N, 1, N):
+            if _max_digit_below(a, N, K + 1) is not None:
                 break
         else:
             bad.append(N)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .core import (ReducedFraction, Rational, Record, WeightFn, Window,
-                   cf_digits, convergents_of, windowed_sum)
+                   _units, cf_digits, convergents_of, windowed_sum)
 from .errors import BadDigit, InvalidWindow, NotCoprime
 
 
@@ -201,13 +201,9 @@ def row_sum(N: int, k: int, f: WeightFn, w: Window) -> Fraction:
     """W_{k,f}: the weight row averaged over a in Z_N*, exact."""
     if not 1 <= k <= N - 1:
         raise InvalidWindow(f"need 1 <= k <= N-1, got k={k}, N={N}")
-    total: Rational = 0
-    count = 0
-    for a in range(1, N):
-        if math.gcd(a, N) == 1:
-            count += 1
-            total += weight_row_at(a, N, k, f, w)
-    return Fraction(total) / count
+    units = list(_units(N, 1, N))
+    total = sum(weight_row_at(a, N, k, f, w) for a in units)
+    return Fraction(total) / len(units)
 
 
 def integral_row(k: int, f: WeightFn, w: Window) -> tuple[Fraction, float]:
@@ -221,16 +217,13 @@ def integral_row(k: int, f: WeightFn, w: Window) -> tuple[Fraction, float]:
     theta = w.finite_theta()
     f.validate_on(w)
     weights = [(m, fm) for m in range(w.eta, theta + 1) if (fm := f(m))]
+    units = list(_units(k, 1, k + 1))  # Z_k*, which is {1} for k = 1
     terms = []
-    phi_k = 0
-    for b in range(1, k + 1):  # Z_k*, which is {1} for k = 1
-        if math.gcd(b, k) != 1:
-            continue
-        phi_k += 1
+    for b in units:
         for _, Q, _, Q1 in prefix_convergents(b, k):
             for m, fm in weights:  # fm times 1/((m Q + Q') ((m+1) Q + Q'))
                 terms.append((fm, (m * Q + Q1) * ((m + 1) * Q + Q1)))
-    main = (2 * phi_k / k ** 2) * sum(
+    main = (2 * len(units) / k ** 2) * sum(
         float(f(m)) * math.log1p(1 / (m * (m + 2)))
         for m in range(w.eta, theta + 1))
     return _sum_terms(terms), main
@@ -244,13 +237,12 @@ def _bijection_rhs(k: int, f: WeightFn, w: Window) -> Fraction:
     integer, (m k + b)((m + 1) k + b) or ((m + 1) k - b)((m + 2) k - b).
     """
     terms = []
+    units = list(_units(k, 1, k))
     for m in range(w.eta, w.finite_theta() + 1):
         fm = f(m)
         if not fm:
             continue
-        for b in range(1, k):
-            if math.gcd(b, k) != 1:
-                continue
+        for b in units:
             terms.append((fm, (m * k + b) * ((m + 1) * k + b)))
             terms.append((fm, ((m + 1) * k - b) * ((m + 2) * k - b)))
     return _sum_terms(terms)

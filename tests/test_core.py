@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cfq.core import (ReducedFraction, WeightFn, Window, cf_digits,
+from cfq.core import (ReducedFraction, WeightFn, Window, _units, cf_digits,
                       convergents_of, even_odd_sums, expand,
                       restricted_sum, stat_alt, stat_count, stat_max, stat_sum)
 from cfq.errors import (InvalidFraction, InvalidWeight, InvalidWindow,
@@ -130,3 +131,18 @@ def test_stat_count_window_validation():
         stat_count(cf, 0, 3)
     with pytest.raises(InvalidWindow):
         stat_count(cf, 4, 2)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 2 ** 22])
+def test_units_match_gcd_filter(monkeypatch, block):
+    # [1, N) is Z_N*, and [1, N + 1) adds N itself, which only Z_1* = {1}
+    # keeps; unaligned [lo, hi) start a block off every multiple of a factor
+    monkeypatch.setattr("cfq.core.MARK_BLOCK", block)
+    rng = random.Random(block)
+    for N in [*range(1, 401), 2310, 30030]:
+        ranges = [(1, N), (1, N + 1)] + [
+            sorted((rng.randint(1, N + 1), rng.randint(1, N + 1)))
+            for _ in range(3)]
+        for lo, hi in ranges:
+            assert list(_units(N, lo, hi)) == [
+                a for a in range(lo, hi) if math.gcd(a, N) == 1], (N, lo, hi)

@@ -438,10 +438,19 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
                 assert list(_representatives(N, 1, cut)) + \
                     list(_representatives(N, cut, N // 2 + 1)) == \
                     list(_representatives(N, 1, N // 2 + 1)), (N, cut)
+    # a partner cleared in the table is never walked: in one block, each
+    # walk yields a representative
+    walks = []
+    monkeypatch.setattr("cfq.ensemble.cf_walk",
+                        lambda a, N: walks.append(a) or cf_walk(a, N))
+    for N in (1009, 2310, 40009):
+        walks.clear()
+        assert len(list(_representatives(N, 1, N // 2 + 1))) == len(walks)
+    monkeypatch.undo()
     # marks a* only inside a block: blocks of 5 numerators change nothing,
     # and the walks of partners from earlier blocks or ranges are discarded
     whole = {N: list(_representatives(N, 1, N // 2 + 1)) for N in (97, 1009)}
-    monkeypatch.setattr("cfq.ensemble.MARK_BLOCK", 5)
+    monkeypatch.setattr("cfq.core.MARK_BLOCK", 5)
     for N, reps in whole.items():
         assert list(_representatives(N, 1, N // 2 + 1)) == reps
         assert digit_histogram(N, 4) == _reference_digit_histogram(N, 4)
@@ -480,7 +489,7 @@ def _gcd_filter_representatives(N, lo, hi, block):
 @pytest.mark.parametrize("block", [1, 3, 7, 2 ** 22])
 def test_representatives_match_gcd_filter(monkeypatch, block):
     # unaligned [lo, hi), so a block starts off every multiple of a factor
-    monkeypatch.setattr("cfq.ensemble.MARK_BLOCK", block)
+    monkeypatch.setattr("cfq.core.MARK_BLOCK", block)
     rng = random.Random(block)
     for N in [*range(2, 200), 210, 360, 512, 729, 1001, 2310]:
         half = N // 2 + 1

@@ -6,7 +6,7 @@ import pytest
 import cfq.farey
 from cfq.core import cf_digits
 from cfq.dedekind import dedekind_scaled
-from cfq.ensemble import euler_phi
+from cfq.ensemble import digit_sum_center, euler_phi
 from cfq.errors import BadRange
 from cfq.farey import (VardiReport, bd_tail, cauchy_cdf, enumerate_farey,
                        hensley_tail, vardi_sample)
@@ -139,8 +139,8 @@ def test_laws_match_per_member_reference():
 
 
 def test_laws_ask_scan_for_what_they_read(monkeypatch):
-    # hensley sums the scan's tail counts at t; vardi and bd read the
-    # histogram counts
+    # hensley sums the scan's tail counts at t, and bd those at t about
+    # each N's center with no histogram; vardi reads the histogram counts
     calls = []
     scan = cfq.farey.scan
 
@@ -152,9 +152,12 @@ def test_laws_ask_scan_for_what_they_read(monkeypatch):
     assert hensley_tail(60, 2.0) == _hensley_ref(60, 2.0)
     assert calls and all(kind == "M" and options == {"thresholds": [2.0]}
                          for kind, options in calls)
-    for law, args, kind in ((vardi_sample, (30,), "D"),
-                            (bd_tail, (30, 1.0), "S")):
-        calls.clear()
-        law(*args)
-        assert calls and all(kind == k and options["with_histogram"]
-                             for k, options in calls)
+    calls.clear()
+    vardi_sample(30)
+    assert calls and all(kind == "D" and options["with_histogram"]
+                         for kind, options in calls)
+    calls.clear()
+    assert bd_tail(30, 1.0) == _bd_ref(30, 1.0)
+    assert calls == [("S", {"thresholds": [1.0],
+                            "center": digit_sum_center(N)})
+                     for N in range(3, 31)]

@@ -109,6 +109,34 @@ def test_every_function_has_a_caller():
     assert uncalled == []
 
 
+def _readers(node, scope: str, name: str):
+    """The qualified scope of each read of name, or of an attribute called
+    name, under node."""
+    for child in ast.iter_child_nodes(node):
+        if name in (getattr(child, "id", None), getattr(child, "attr", None)):
+            yield scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _readers(child, f"{scope}.{child.name}", name)
+        else:
+            yield from _readers(child, scope, name)
+
+
+def test_units_are_enumerated_in_one_place():
+    # A range over Z_N* comes from core._units; math.gcd only tests one
+    # number, and only _unit_blocks and euler_phi factor N.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((SRC / "cfq").glob("*.py"))}
+
+    def readers(name):
+        return sorted(scope for stem, tree in trees.items()
+                      for scope in _readers(tree, stem, name))
+    assert readers("gcd") == ["core.ReducedFraction.__init__",
+                              "dedekind.reciprocity_check",
+                              "weight._check_prefix", "weight.weight_row_at"]
+    assert readers("_prime_factors") == ["core._unit_blocks",
+                                         "ensemble.euler_phi"]
+
+
 def test_all_and_dir_list_the_public_names():
     names = {name for _, name in NAMES}
     assert set(cfq.__all__) == names
