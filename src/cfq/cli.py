@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Machine-readable output only: JSON (one object per line, keys sorted) or
-CSV with a fixed column order.  Exact rationals are serialized as "p/q"
-strings, floats as shortest round-trip decimals.  Exit codes: 0 success,
-2 usage error or output that cannot be written (including a reader that
-closes stdout early), 3 domain error, 4 size limit exceeded.
+Each command returns its format and an iterable of records (dicts), and
+_write alone turns them into output: a JSON object per line with sorted
+keys, exact rationals as "p/q" strings and floats as shortest round-trip
+decimals, or CSV under a header of the first record's keys, with the same
+floats.  Exit codes: 0 success, 2 usage error or output that cannot be
+written (including a reader that closes stdout early), 3 domain error,
+4 size limit exceeded.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ from .errors import (DISCREPANCY_LIMIT, FAREY_LIMIT, HISTOGRAM_LIMIT,
                      LimitExceeded)
 
 # Every other module is imported by the command that runs it, so the parser
-# compiles only this module and errors; fractions and json are imported
-# where a command builds a Fraction or prints JSON.
+# compiles only this module and errors; fractions is imported where a
+# command builds a Fraction, and json where _write prints JSON.
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .core import WeightFn
     from .ensemble import StatSpec
 
 
@@ -58,25 +59,24 @@ vardi_sample = _on_call("farey", "vardi_sample")
 bd_tail = _on_call("farey", "bd_tail")
 
 
-def _frac_str(x) -> str:
-    from fractions import Fraction
-    x = Fraction(x)
+def _frac_str(x: Fraction) -> str:
+    """The JSON hook that prints an exact rational as "p/q"."""
     return f"{x.numerator}/{x.denominator}"
 
 
-def _weight_from_name(name: str) -> WeightFn:
-    from .core import WeightFn
-    return {"one": WeightFn.one(), "identity": WeightFn.identity(),
-            "square": WeightFn.square()}[name]
-
-
-def _emit(out, line: str) -> None:
-    out.write(line + "\n")
-
-
-def _emit_json(out, record: dict) -> None:
-    import json
-    _emit(out, json.dumps(record, sort_keys=True))
+def _write(out, fmt: str, records) -> None:
+    """Write each record as it arrives, as a JSON line or a CSV row."""
+    if fmt == "json":
+        import json
+        for rec in records:
+            out.write(json.dumps(rec, sort_keys=True, default=_frac_str)
+                      + "\n")
+        return
+    for i, rec in enumerate(records):
+        if not i:
+            out.write(",".join(rec) + "\n")
+        out.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                           for v in rec.values()) + "\n")
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -136,12 +136,12 @@ def float_list(text: str) -> list[float]:
     return [finite_float(t) for t in text.split(",")] if text else []
 
 
-def cmd_expand(args, out) -> int:
+def cmd_expand(args):
     from .core import ReducedFraction, expand, stat_alt, stat_max, stat_sum
     from .dedekind import dedekind_bh
     frac = ReducedFraction(args.a, args.N)
     cf = expand(frac)
-    record = {
+    return "json", [{
         "a": frac.a,
         "N": frac.N,
         "digits": list(cf.digits),
@@ -149,18 +149,17 @@ def cmd_expand(args, out) -> int:
         "S": stat_sum(cf),
         "M": stat_max(cf),
         "S_alt": stat_alt(cf),
-        "D": _frac_str(dedekind_bh(frac)),
-    }
-    _emit_json(out, record)
-    return 0
+        "D": dedekind_bh(frac),
+    }]
 
 
 def _spec_from_args(args) -> StatSpec:
+    from .core import WeightFn
     from .ensemble import StatSpec
     if args.stat == "L":
         return StatSpec("L", b=args.b, c=args.c)
     if args.stat == "restricted":
-        return StatSpec("restricted", f=_weight_from_name(args.f),
+        return StatSpec("restricted", f=WeightFn(args.f),
                         eta=args.eta, theta=args.theta)
     return StatSpec(args.stat)
 
@@ -178,7 +177,7 @@ def _summary_record(summary) -> dict:
     return rec
 
 
-def cmd_scan(args, out) -> int:
+def cmd_scan(args):
     if (args.N is None) == (args.range is None):
         _usage_error("scan: give either a single N or --range LO HI")
     _check_range("scan", args.range)
@@ -198,31 +197,19 @@ def cmd_scan(args, out) -> int:
                             f"{SCAN_LIMIT} values of N")
     workers = _workers("scan", args)
     spec = _spec_from_args(args)
-    header_done = False
-    for N in range(lo, hi + 1):
-        summary = scan(N, spec, thresholds=thresholds, workers=workers)
-        rec = _summary_record(summary)
-        if args.format == "csv":
-            if not header_done:
-                _emit(out, ",".join(rec))
-                header_done = True
-            _emit(out, ",".join(repr(v) if isinstance(v, float) else str(v)
-                                for v in rec.values()))
-        else:
-            _emit_json(out, rec)
-    return 0
+    return args.format, (
+        _summary_record(scan(N, spec, thresholds=thresholds, workers=workers))
+        for N in range(lo, hi + 1))
 
 
-def cmd_dedekind(args, out) -> int:
+def cmd_dedekind(args):
     from .core import ReducedFraction
     from .dedekind import dedekind_bh
     d = dedekind_bh(ReducedFraction(args.a, args.N))
-    _emit_json(out, {"N": args.N, "a": args.a, "D": _frac_str(d),
-                     "D_decimal": float(d)})
-    return 0
+    return "json", [{"N": args.N, "a": args.a, "D": d, "D_decimal": float(d)}]
 
 
-def cmd_discrepancy(args, out) -> int:
+def cmd_discrepancy(args):
     from .discrepancy import reduced_fraction_discrepancy
     from .weight import IntervalQ
     rng = IntervalQ(args.lo, args.hi, True, True)
@@ -233,38 +220,33 @@ def cmd_discrepancy(args, out) -> int:
            for x in (report.value, w.lo, w.hi, rng.lo, rng.hi)):
         raise LimitExceeded(f"discrepancy prints numerators and denominators "
                             f"of at most {PRINT_DIGITS_LIMIT} digits")
-    _emit_json(out, {
+    return "json", [{
         "N": args.N,
         "range": str(rng),
-        "value": _frac_str(report.value),
+        "value": report.value,
         "value_decimal": float(report.value),
         "witness": str(w),
-    })
-    return 0
+    }]
 
 
-def cmd_search(args, out) -> int:
+def cmd_search(args):
     _check_range("search", args.range)
     lo, hi = args.range
     if args.zaremba is not None:
         bad = zaremba_scan(lo, hi, args.zaremba)
-        _emit_json(out, {"K": args.zaremba, "range": [lo, hi],
-                         "without_witness": bad})
-        return 0
+        return "json", [{"K": args.zaremba, "range": [lo, hi],
+                         "without_witness": bad}]
     from .search import _check_N
-    finder = min_sum if args.min_stat == "S" else min_max_quotient
-    _check_N(lo)  # both ends, before the CSV header is written
+    _check_N(lo)  # both ends, before the first row is written
     _check_N(hi)
-    _emit(out, "N,argmin,min,bound,margin")
-    for N in range(lo, hi + 1):
-        rec = finder(N)
-        margin = rec.min_value - rec.bound_value
-        _emit(out, f"{rec.N},{rec.argmin_a},{rec.min_value},"
-                   f"{rec.bound_value!r},{margin!r}")
-    return 0
+    finder = min_sum if args.min_stat == "S" else min_max_quotient
+    return "csv", ({"N": r.N, "argmin": r.argmin_a, "min": r.min_value,
+                    "bound": r.bound_value,
+                    "margin": r.min_value - r.bound_value}
+                   for r in map(finder, range(lo, hi + 1)))
 
 
-def cmd_farey(args, out) -> int:
+def cmd_farey(args):
     if args.law == "hensley":
         emp, lim = hensley_tail(args.Q, args.t)
         rec = {"Q": args.Q, "law": "hensley", "t": args.t,
@@ -280,31 +262,28 @@ def cmd_farey(args, out) -> int:
                "empirical_cdf": list(r.empirical_cdf),
                "cauchy_cdf": list(r.cauchy_cdf),
                "sup_distance": r.sup_distance}
-    _emit_json(out, rec)
-    return 0
+    return "json", [rec]
 
 
-def cmd_gk(args, out) -> int:
+def cmd_gk(args):
     h = digit_histogram(args.N, args.max_digit,
                         workers=_workers("gk", args))
-    _emit(out, "m,freq,target,diff")
-    for m in range(1, args.max_digit + 1):
-        _emit(out, f"{m},{h['freq'][m]!r},{h['target'][m]!r},"
-                   f"{h['freq'][m] - h['target'][m]!r}")
-    return 0
+    freq, target = h["freq"], h["target"]
+    return "csv", ({"m": m, "freq": freq[m], "target": target[m],
+                    "diff": freq[m] - target[m]}
+                   for m in range(1, args.max_digit + 1))
 
 
-def cmd_constants(args, out) -> int:
-    from .core import Window
+def cmd_constants(args):
+    from .core import WeightFn, Window
     from .theorems import constants
-    tc = constants(_weight_from_name(args.f), Window(args.eta, args.theta),
+    tc = constants(WeightFn(args.f), Window(args.eta, args.theta),
                    args.b, args.c)
     rec = {k: getattr(tc, k) for k in
            ("A", "B", "C", "D", "Dprime", "Xi", "mu")}
     rec.update({"f": args.f, "eta": args.eta, "theta": args.theta,
                 "b": args.b, "c": args.c})
-    _emit_json(out, rec)
-    return 0
+    return "json", [rec]
 
 
 WORKERS_HELP = ("worker processes, at least 1; the default is CFQ_WORKERS, "
@@ -407,9 +386,11 @@ def _cannot_write(path: str, reason: str) -> int:
 
 
 def _run(args, out) -> int:
-    """Run the command, writing to out; domain and limit errors exit 3, 4."""
+    """Run the command, writing to out; domain and limit errors exit 3, 4,
+    also when raised while a row is computed."""
     try:
-        return args.func(args, out)
+        _write(out, *args.func(args))
+        return 0
     except LimitExceeded as exc:
         print(f"cfq: {exc}", file=sys.stderr)
         return 4

@@ -224,7 +224,7 @@ class Window(Record):
         return self.theta
 
 
-class WeightFn:
+class WeightFn(Record):
     """Non-negative, non-decreasing weight f on digit values.
 
     Built-ins: constant one, identity, square.  Tabulated weights carry
@@ -242,17 +242,16 @@ class WeightFn:
             if not table:
                 raise InvalidWeight("tabulated weight needs at least one value")
             from fractions import Fraction
-            vals = tuple(Fraction(v) for v in table)
-            if any(v < 0 for v in vals):
+            table = tuple(Fraction(v) for v in table)
+            if any(v < 0 for v in table):
                 raise InvalidWeight("weight values must be non-negative")
-            if any(u > v for u, v in zip(vals, vals[1:])):
+            if any(u > v for u, v in zip(table, table[1:])):
                 raise InvalidWeight("weight values must be non-decreasing")
-            self.table = vals
-            self.table_start = table_start
         else:
-            self.table = None
-            self.table_start = table_start
-        self.kind = kind
+            table = None
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table_start", table_start)
 
     @classmethod
     def one(cls) -> "WeightFn":
@@ -303,11 +302,6 @@ class WeightFn:
             raise InvalidWeight(
                 f"tabulated weight covers [{self.table_start}, {end}], "
                 f"window needs [{window.eta}, {hi}]")
-
-    def __repr__(self) -> str:
-        if self.kind == "table":
-            return f"WeightFn.from_table({list(self.table)}, start={self.table_start})"
-        return f"WeightFn({self.kind!r})"
 
 
 def count_in(digits: Sequence[int], b: int, c: int) -> int:

@@ -1,4 +1,7 @@
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import os
 import stat
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cfq import cli
 from cfq.cli import main
 
 
@@ -71,6 +75,141 @@ def test_scan_range_streams(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert [json.loads(l)["N"] for l in lines] == [3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["scan", "--range", "3", "6"], "scan"),
+    (["search", "--range", "2", "6"], "min_max_quotient"),
+])
+def test_range_output_streams(monkeypatch, argv, name):
+    # The rows written when each N is computed: the row of N is out before
+    # N + 1 is computed, so a range holds one row at a time, not all of them.
+    real = vars(cli)[name]
+    out = io.StringIO()
+    seen = []
+
+    def rows():
+        return sum(not line.startswith("N,")
+                   for line in out.getvalue().splitlines())
+
+    def probe(N, *args, **kwargs):
+        seen.append((N, rows()))
+        return real(N, *args, **kwargs)
+
+    monkeypatch.setattr(cli, name, probe)
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    lo, hi = int(argv[2]), int(argv[3])
+    assert seen == [(N, N - lo) for N in range(lo, hi + 1)]
+    assert rows() == hi - lo + 1
+
+
+# The bytes each subcommand writes, so a change to the output rule or to a
+# command's records shows here and not only in the benchmark's digests.
+PINNED = {
+    "expand 10 7":
+        '{"D": "0/1", "M": 3, "N": 10, "S": 6, "S_alt": -2, "a": 7, '
+        '"convergents": [[0, 1], [1, 1], [2, 3], [7, 10]], '
+        '"digits": [1, 2, 3]}\n',
+    "dedekind 3 1":
+        '{"D": "1/18", "D_decimal": 0.05555555555555555, "N": 3, "a": 1}\n',
+    "discrepancy 6 --lo 1/7 --hi 5/7":
+        '{"N": 6, "range": "[1/7, 5/7]", "value": "23/42", '
+        '"value_decimal": 0.5476190476190477, "witness": "(1/6, 5/7)"}\n',
+    "constants --f identity --eta 1 --theta 2":
+        '{"A": 0.6361934551785612, "B": 1.636193455178561, '
+        '"C": 6.111746730406448, "D": 1.840717637075881, '
+        '"Dprime": 2.045241818973201, "Xi": 2.0, "b": 1, "c": 1, "eta": 1, '
+        '"f": "identity", "mu": 0.3497794571219426, "theta": 2}\n',
+    "scan 11 --stat D --t 0.1":
+        '{"N": 11, "mean": 0.0, "phi": 10, "stat": "D", "tail@0.1": 0.1, '
+        '"variance": 0.12107438016528925}\n',
+    "scan --range 5 8 --stat L --b 1 --c 2 --format csv":
+        "N,phi,stat,mean,variance\n"
+        "5,4,L[1,2],1.5,1.25\n"
+        "6,2,L[1,2],0.5,0.25\n"
+        "7,6,L[1,2],1.3333333333333333,0.8888888888888888\n"
+        "8,4,L[1,2],2.0,2.5\n",
+    "search --range 2 8 --min-stat S":
+        "N,argmin,min,bound,margin\n"
+        "2,1,2,inf,-inf\n"
+        "3,1,3,0.12562460857803964,2.8743753914219603\n"
+        "4,1,4,0.5505524408331667,3.4494475591668334\n"
+        "5,2,4,0.9312316753284733,3.0687683246715265\n"
+        "6,1,6,1.2705076814174492,4.729492318582551\n"
+        "7,2,5,1.575078808374472,3.424921191625528\n"
+        "8,3,5,1.8509651776541085,3.1490348223458913\n",
+    "search --range 2 8 --min-stat M":
+        "N,argmin,min,bound,margin\n"
+        "2,1,2,2.0794415416798357,-0.07944154167983575\n"
+        "3,2,2,3.295836866004329,-1.2958368660043291\n"
+        "4,3,3,4.1588830833596715,-1.1588830833596715\n"
+        "5,2,2,4.828313737302301,-2.8283137373023006\n"
+        "6,5,5,5.375278407684165,-0.3752784076841653\n"
+        "7,5,2,5.8377304471659395,-3.8377304471659395\n"
+        "8,3,2,6.238324625039507,-4.238324625039507\n",
+    "search --zaremba 1 --range 2 8":
+        '{"K": 1, "range": [2, 8], "without_witness": [2, 3, 4, 5, 6, 7, 8]}'
+        "\n",
+    "farey 6 --law hensley":
+        '{"Q": 6, "fraction": 0.7, "law": "hensley", '
+        '"limit": 0.4555216517453543, "t": 2.0}\n',
+    "farey 6 --law vardi":
+        '{"Q": 6, "cauchy_cdf": [0.07797913037736925, 0.14758361765043326, '
+        "0.25, 0.35241638234956674, 0.5, 0.6475836176504333, 0.75, "
+        '0.8524163823495667, 0.9220208696226307], "count": 10, '
+        '"empirical_cdf": [0.0, 0.0, 0.0, 0.3, 0.6, 0.7, 1.0, 1.0, 1.0], '
+        '"law": "vardi", "probes": [-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, '
+        '2.0, 4.0], "sup_distance": 0.25}\n',
+    "farey 6 --law bd":
+        '{"Q": 6, "fraction": 0.8, "law": "bd", "t": 2.0, '
+        '"t_times_fraction": 1.6}\n',
+    "gk 11 --max-digit 3":
+        "m,freq,target,diff\n"
+        "1,0.5443215290774458,0.41503749927884376,0.12928402979860204\n"
+        "2,0.34638642759473826,0.16992500144231237,0.17646142615242588\n"
+        "3,0.14845132611203066,0.09310940439148145,0.055341921720549206\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED))
+def test_output_bytes_are_pinned(capsys, argv):
+    assert run(capsys, *argv.split()) == (0, PINNED[argv], "")
+
+
+# SHA-256 of each --help text at COLUMNS=80, keyed by subcommand ("" for
+# cfq --help).  argparse lays help out differently across Python versions
+# (3.10 heads the options "optional arguments:", 3.13 prints
+# "-o, --output OUTPUT"), so the digests are those of Python 3.11.
+HELP = {
+    "": "480007ea363c7ca7212737e23ba0237d232bd3247d9a9118e8ffc20db656a2f6",
+    "expand":
+        "b671ed995fddff38bfc06fbccf0152e2594d34deb0a1c5ac41c6ae37881ba523",
+    "scan": "12087368d755944778a97046dead2e8842de85ff3c834a752bd3c44797168722",
+    "dedekind":
+        "6af70c94a71bea3826cbab17044f3de93d16019bab42018f16c8bfeda3d3f41b",
+    "discrepancy":
+        "f521323373fcbfb2223bd625fcdffbcac6f569aa009357c0eb53ea61135a943d",
+    "search":
+        "4c80700a901d7165d0f2015909e6f5bdd6934a97412eba1b93c888e2cce641c6",
+    "farey":
+        "7eabdbca7313ebb2a6343d4d1fadfd21c303bfbac06d4a04cada1ead5d65570c",
+    "gk": "e2506906b98b3e71d39bf2f0a7c254e212ad8229b051c8b74b48afe76086a2c4",
+    "constants":
+        "28ac9d9e7d5ff0986ded3fdda000deb1046bf18b655baf3c5773ea3b45ccf5dd",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests are of Python 3.11's argparse layout")
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_bytes_are_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.err) == (0, "")
+    assert hashlib.sha256(out.out.encode()).hexdigest() == HELP[command]
 
 
 def test_scan_negative_thresholds_after_equals(capsys):

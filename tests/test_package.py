@@ -137,6 +137,20 @@ def test_units_are_enumerated_in_one_place():
                                          "ensemble.euler_phi"]
 
 
+def test_command_output_has_one_writer():
+    # A command returns its format and records; cli._write alone turns them
+    # into bytes, and no command is handed the output stream.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for name in ("write", "dumps", "json"):
+        assert set(_readers(tree, "cli", name)) == {"cli._write"}, name
+    params = {node.name: [a.arg for a in ast.walk(node.args)
+                          if isinstance(a, ast.arg)]
+              for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("cmd_")}
+    assert len(params) == 8
+    assert params == dict.fromkeys(params, ["args"])
+
+
 def test_all_and_dir_list_the_public_names():
     names = {name for _, name in NAMES}
     assert set(cfq.__all__) == names

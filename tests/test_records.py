@@ -18,7 +18,7 @@ from cfq.core import (ContinuedFraction, Record, ReducedFraction, WeightFn,
 from cfq.discrepancy import DiscrepancyReport, PointSet
 from cfq.ensemble import EnsembleSummary, StatSpec
 from cfq.errors import (BadRange, InvalidFraction, InvalidSpec,
-                        InvalidWindow, LimitExceeded)
+                        InvalidWeight, InvalidWindow, LimitExceeded)
 from cfq.farey import VardiReport
 from cfq.reflect import ReflectionRecord
 from cfq.search import ExtremalRecord
@@ -42,6 +42,13 @@ RECORDS = {
         ("eta", "theta"), (1, 5),
         [((0,), InvalidWindow), ((3, 2), InvalidWindow)],
         ((2,), {"theta": None})),
+    WeightFn: (
+        ("kind", "table", "table_start"),
+        ("table", (Fraction(1, 2), Fraction(2)), 3),
+        [(("cube",), InvalidWeight), (("table", ()), InvalidWeight),
+         (("table", (-1, 0)), InvalidWeight),
+         (("table", (2, 1)), InvalidWeight)],
+        (("one",), {"table": None, "table_start": 1})),
     StatSpec: (
         ("kind", "b", "c", "f", "eta", "theta"), ("L", 1, 3),
         [(("X",), InvalidSpec), (("L", 3, 1), InvalidSpec),
@@ -151,7 +158,8 @@ def test_only_validating_records_write_their_own_constructor():
     own = {cls for cls in classes if "__init__" in vars(cls)}
     assert sorted(cls.__name__ for cls in own if not RECORDS[cls][2]) == []
     assert {cls.__name__ for cls in own} == {
-        "ReducedFraction", "Window", "StatSpec", "IntervalQ", "PointSet"}
+        "ReducedFraction", "Window", "WeightFn", "StatSpec", "IntervalQ",
+        "PointSet"}
 
 
 def test_generic_constructor_binds_every_field_once():
@@ -175,8 +183,8 @@ def test_records_of_different_classes_with_equal_fields_differ():
 def test_statspec_with_weight_pickles():
     spec = StatSpec("restricted", f=WeightFn.identity(), eta=1, theta=4)
     back = pickle.loads(pickle.dumps(spec))
-    assert (back.kind, back.eta, back.theta) == ("restricted", 1, 4)
-    assert back.f.kind == "identity"
+    assert back == spec and hash(back) == hash(spec)
+    assert back != StatSpec("restricted", f=WeightFn.square(), eta=1, theta=4)
 
 
 def test_cli_import_loads_no_class_generator():
