@@ -248,7 +248,7 @@ class WeightFn(Record):
             if any(u > v for u, v in zip(table, table[1:])):
                 raise InvalidWeight("weight values must be non-decreasing")
         else:
-            table = None
+            table, table_start = None, 1  # a built-in reads neither
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "table_start", table_start)

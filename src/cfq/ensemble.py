@@ -10,15 +10,14 @@ a <= a* is kept, and a* is not walked (about phi(N)/4 Euclid walks).
 The digits of a give every member's statistic as (value, multiplicity)
 pairs.  A palindrome (a* = a) has two members, and N = 2 the one member 1.
 S, M, L, S_alt and restricted take few distinct values (S 479 of 40,008
-members at N = 40009), so a worker only counts the members of each raw
-value, and the scan folds the merged counts once per value into exact
-first and second moments plus tail counts against thresholds that scale
-with ln N.  D takes about phi(N)/2 values, so a worker folds its pairs
-as they come, unless a histogram is asked for.  Either way the tail test
-is the one rule of _fold.
+members at N = 40009), so a worker counts the members of each raw value
+and folds each value once into exact first and second moments plus tail
+counts against thresholds that scale with ln N.  D takes about phi(N)/2
+values, so a worker folds its pairs as they come, unless a histogram is
+asked for.  Either way the tail test is the one rule of _fold.
 Workers split the representative range [1, N/2] into contiguous ranges;
-the merge is plain addition of exact counts or accumulators, so the
-result does not depend on the worker count.
+the merge adds the workers' fold vectors element-wise, and their counts
+for a histogram, so the result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -240,8 +239,8 @@ def _palindrome(pairs, a: int, N: int):
     return ((pairs[0][0], 1),)
 
 
-def _fold(pairs, cuts, scale: int, center: float, absolute: bool) -> tuple:
-    """(count, sum, sum of squares, tail counts) of (raw, multiplicity)
+def _fold(pairs, cuts, scale: int, center: float, absolute: bool) -> list:
+    """[count, sum, sum of squares, *tail counts] of (raw, multiplicity)
     pairs.  The one tail rule: raw counts toward cuts[j] when z >= cuts[j],
     z = raw/scale - center, or |z| if absolute."""
     count = total = total_sq = 0
@@ -258,20 +257,21 @@ def _fold(pairs, cuts, scale: int, center: float, absolute: bool) -> tuple:
             for j, cut in indexed:
                 if z >= cut:
                     tails[j] += mult
-    return count, total, total_sq, tails
+    return [count, total, total_sq, *tails]
 
 
 def _scan_range(args):
-    """The members of the orbits of the representatives in [lo, hi): their
-    counts {raw value: members} if counted (every kind but D without a
-    histogram), else _fold of their pairs."""
-    N, lo, hi, spec, counted, fold_args = args
+    """(_fold of the members of the orbits of the representatives in
+    [lo, hi), their counts {raw value: members} if a histogram is asked
+    for).  Every kind but D without a histogram counts its members and
+    folds each raw value once."""
+    N, lo, hi, spec, with_histogram, fold_args = args
     orbit = _orbit_fn(spec, N)
-    if not counted:
+    if spec.kind == "D" and not with_histogram:
         return _fold(chain.from_iterable(
             _palindrome(orbit(a, star, d), a, N) if star == a
             else orbit(a, star, d)
-            for a, star, d in _representatives(N, lo, hi)), *fold_args)
+            for a, star, d in _representatives(N, lo, hi)), *fold_args), None
     counts: dict = {}
     get = counts.get
     for a, star, d in _representatives(N, lo, hi):
@@ -280,7 +280,8 @@ def _scan_range(args):
             pairs = _palindrome(pairs, a, N)
         for raw, mult in pairs:
             counts[raw] = get(raw, 0) + mult
-    return counts
+    return (_fold(counts.items(), *fold_args),
+            counts if with_histogram else None)
 
 
 def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
@@ -300,26 +301,23 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
         spec.f.validate_on(Window(spec.eta, spec.theta), max_digit=N)
     logN = math.log(N)
     fold_args = ([t * logN for t in thresholds], scale, center, absolute)
-    counted = with_histogram or spec.kind != "D"
-    parts = _map_ranges(_scan_range, N, workers, spec, counted, fold_args)
+    parts = _map_ranges(_scan_range, N, workers, spec, with_histogram,
+                        fold_args)
+    count, sum_scaled, sumsq_scaled, *tails = map(sum, zip(*(
+        fold for fold, _ in parts)))
     counts = None
-    if counted:
-        counts = parts[0]
-        for p in parts[1:]:
+    if with_histogram:
+        counts = parts[0][1]
+        for _, p in parts[1:]:
             for raw, v in p.items():
                 counts[raw] = counts.get(raw, 0) + v
-        parts = [_fold(counts.items(), *fold_args)]
-    count = sum(p[0] for p in parts)
-    tails = {t: sum(p[3][j] for p in parts) for j, t in enumerate(thresholds)}
     phi = euler_phi(N)
     if count != phi:
         raise InvariantError(f"scan visited {count} numerators, phi({N}) = {phi}")
     return EnsembleSummary(N=N, phi=phi, spec=spec, count=count, scale=scale,
-                           sum_scaled=sum(p[1] for p in parts),
-                           sumsq_scaled=sum(p[2] for p in parts),
-                           tail_counts=tails,
-                           counts=counts if with_histogram else None,
-                           center=center, absolute=absolute)
+                           sum_scaled=sum_scaled, sumsq_scaled=sumsq_scaled,
+                           tail_counts=dict(zip(thresholds, tails)),
+                           counts=counts, center=center, absolute=absolute)
 
 
 def _digit_range(args):

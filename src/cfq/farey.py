@@ -3,10 +3,10 @@
 The ensemble here averages over denominators as well as numerators, which
 is the setting in which the classical limit laws (Hensley for the maximal
 digit, Vardi's Cauchy law for Dedekind sums, the stable tail for the digit
-sum) are actually proven.  Each law reads the ensemble.scan summary of
-every Z_N*: hensley and bd its tail counts at t ln N (bd about its
-center), vardi its histogram counts.  Statistics normalized by ln N or
-ln ln N skip members with N = 2 so the normalization is never degenerate.
+sum) are actually proven.  Each law adds the tail counts of the
+ensemble.scan of every Z_N* in _tails; vardi reads them at t = -p/(2 pi)
+by D's sign symmetry.  Statistics normalized by ln N or ln ln N skip
+members with N = 2 so the normalization is never degenerate.
 """
 
 from __future__ import annotations
@@ -42,19 +42,29 @@ def _scans(Q: int) -> range:
     return range(3, Q + 1)
 
 
+def _tails(Q: int, spec: StatSpec, ts: list, center=None) -> tuple:
+    """(members of F_Q with N >= 3, their tail counts at each t of ts): the
+    sums of the scans of spec over each Z_N*, about center(N) if given."""
+    total, hits = 0, [0] * len(ts)
+    for N in _scans(Q):
+        options = {"thresholds": ts}
+        if center is not None:
+            options["center"] = center(N)
+        summary = scan(N, spec, **options)
+        total += summary.count
+        hits = [h + summary.tail_counts[t] for h, t in zip(hits, ts)]
+    return total, hits
+
+
 def hensley_tail(Q: int, t: float) -> tuple[float, float]:
     """(fraction of F_Q members with M >= t ln N, limit 1 - e^{-12/(pi^2 t)}).
 
     Sums the scans' tail counts at t.  Members with N = 2 are skipped.
     """
-    denominators = _scans(Q)
+    _scans(Q)  # Q is checked before t
     if t <= 0:
         raise BadRange(f"need t > 0, got {t}")
-    hits = total = 0
-    for N in denominators:
-        summary = scan(N, StatSpec("M"), thresholds=[t])
-        hits += summary.tail_counts[t]
-        total += summary.count
+    total, (hits,) = _tails(Q, StatSpec("M"), [t])
     return hits / total, hensley_limit(t)
 
 
@@ -74,18 +84,11 @@ def vardi_sample(Q: int, probes: tuple = (-4.0, -2.0, -1.0, -0.5, 0.0,
     Report-only: empirical CDF at the probe points and the sup distance
     over those probes.  Members with N = 2 are skipped.
     """
-    denominators = _scans(Q)
     probes = tuple(sorted(probes))
-    below = [0] * len(probes)
-    total = 0
-    for N in denominators:
-        summary = scan(N, StatSpec("D"), with_histogram=True)
-        total += summary.count
-        for raw, mult in summary.counts.items():  # D = raw/scale
-            v = 2 * math.pi * raw / (summary.scale * math.log(summary.N))
-            for j, p in enumerate(probes):
-                if v <= p:
-                    below[j] += mult
+    # D((N - a)/N) = -D(a/N), so as many members have 2 pi D / ln N <= p
+    # as have D >= -p ln N / (2 pi): the scan's tail at t = -p / (2 pi)
+    total, below = _tails(Q, StatSpec("D"),
+                          [-p / (2 * math.pi) for p in probes])
     emp = tuple(b / total for b in below)
     cau = tuple(cauchy_cdf(p) for p in probes)
     sup = max(abs(e - c) for e, c in zip(emp, cau))
@@ -99,11 +102,6 @@ def bd_tail(Q: int, t: float) -> tuple[float, float]:
     Returns (fraction with (S - (12/pi^2) ln N ln ln N)/ln N >= t,
     t * fraction).  Report-only; members with N = 2 are skipped.
     """
-    hits = total = 0
-    for N in _scans(Q):
-        summary = scan(N, StatSpec("S"), thresholds=[t],
-                       center=digit_sum_center(N))
-        hits += summary.tail_counts[t]
-        total += summary.count
+    total, (hits,) = _tails(Q, StatSpec("S"), [t], center=digit_sum_center)
     frac_ = hits / total
     return frac_, t * frac_

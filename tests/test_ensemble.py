@@ -55,16 +55,16 @@ def test_scan_tail_example():
 
 
 def test_scan_determinism_across_workers():
-    for spec in (StatSpec("S"), StatSpec("D"),
+    # Each worker folds its own part; the parts' sums are the summary
+    for spec in (StatSpec("S"), StatSpec("M"), StatSpec("L", b=1, c=2),
+                 StatSpec("S_alt"), StatSpec("D"),
                  StatSpec("restricted", f=WeightFn.identity(), eta=1, theta=4)):
-        one = scan(1009, spec, thresholds=[2.0, 4.0], absolute=True,
-                   workers=1, with_histogram=True)
-        eight = scan(1009, spec, thresholds=[2.0, 4.0], absolute=True,
-                     workers=8, with_histogram=True)
-        assert one.sum_scaled == eight.sum_scaled
-        assert one.sumsq_scaled == eight.sumsq_scaled
-        assert one.tail_counts == eight.tail_counts
-        assert one.histogram == eight.histogram
+        for with_histogram in (False, True):
+            one, eight = (scan(1009, spec, thresholds=[2.0, 4.0],
+                               absolute=True, workers=workers,
+                               with_histogram=with_histogram)
+                          for workers in (1, 8))
+            assert one == eight, (spec, with_histogram)
 
 
 def test_variance_nonnegative_and_exact():

@@ -6,7 +6,7 @@ import pytest
 import cfq.farey
 from cfq.core import cf_digits
 from cfq.dedekind import dedekind_scaled
-from cfq.ensemble import digit_sum_center, euler_phi
+from cfq.ensemble import StatSpec, digit_sum_center, euler_phi, scan
 from cfq.errors import BadRange
 from cfq.farey import (VardiReport, bd_tail, cauchy_cdf, enumerate_farey,
                        hensley_tail, vardi_sample)
@@ -138,9 +138,26 @@ def test_laws_match_per_member_reference():
             assert vardi_sample(Q, probes) == _vardi_ref(Q, probes), Q
 
 
+def test_vardi_tails_match_histogram_per_N():
+    # D((N - a)/N) = -D(a/N): for each N alone, the tail at t = -p/(2 pi)
+    # counts the members with 2 pi D / ln N <= p
+    default = vardi_sample.__defaults__[0]
+    cases = [(probes, [-p / (2 * math.pi) for p in probes])
+             for probes in (default, (1e-12, 0.0, -1e-12, -3.0, 0.25))]
+    for N in range(3, 401):
+        summary = scan(N, StatSpec("D"), with_histogram=True)
+        values = [(2 * math.pi * raw / (summary.scale * math.log(N)), mult)
+                  for raw, mult in summary.counts.items()]
+        for probes, ts in cases:
+            tails = scan(N, StatSpec("D"), thresholds=ts).tail_counts
+            assert [tails[t] for t in ts] == [
+                sum(mult for v, mult in values if v <= p) for p in probes
+            ], (N, probes)
+
+
 def test_laws_ask_scan_for_what_they_read(monkeypatch):
-    # hensley sums the scan's tail counts at t, and bd those at t about
-    # each N's center with no histogram; vardi reads the histogram counts
+    # Every law sums the scan's tail counts with no histogram: hensley's
+    # at t, bd's at t about each N's center, vardi's at -p/(2 pi)
     calls = []
     scan = cfq.farey.scan
 
@@ -154,8 +171,10 @@ def test_laws_ask_scan_for_what_they_read(monkeypatch):
                          for kind, options in calls)
     calls.clear()
     vardi_sample(30)
-    assert calls and all(kind == "D" and options["with_histogram"]
-                         for kind, options in calls)
+    default = vardi_sample.__defaults__[0]
+    assert calls == [("D", {"thresholds": [-p / (2 * math.pi)
+                                           for p in sorted(default)]})
+                     for N in range(3, 31)]
     calls.clear()
     assert bd_tail(30, 1.0) == _bd_ref(30, 1.0)
     assert calls == [("S", {"thresholds": [1.0],

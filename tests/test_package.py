@@ -121,20 +121,37 @@ def _readers(node, scope: str, name: str):
             yield from _readers(child, scope, name)
 
 
+def _src_readers(name):
+    """Sorted _readers of name over every module of src/cfq."""
+    return sorted(scope for path in sorted((SRC / "cfq").glob("*.py"))
+                  for scope in _readers(ast.parse(path.read_text()),
+                                        path.stem, name))
+
+
 def test_units_are_enumerated_in_one_place():
     # A range over Z_N* comes from core._units; math.gcd only tests one
     # number, and only _unit_blocks and euler_phi factor N.
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted((SRC / "cfq").glob("*.py"))}
+    assert _src_readers("gcd") == ["core.ReducedFraction.__init__",
+                                   "dedekind.reciprocity_check",
+                                   "weight._check_prefix",
+                                   "weight.weight_row_at"]
+    assert _src_readers("_prime_factors") == ["core._unit_blocks",
+                                              "ensemble.euler_phi"]
 
-    def readers(name):
-        return sorted(scope for stem, tree in trees.items()
-                      for scope in _readers(tree, stem, name))
-    assert readers("gcd") == ["core.ReducedFraction.__init__",
-                              "dedekind.reciprocity_check",
-                              "weight._check_prefix", "weight.weight_row_at"]
-    assert readers("_prime_factors") == ["core._unit_blocks",
-                                         "ensemble.euler_phi"]
+
+def test_scan_tails_have_one_rule():
+    # ensemble._fold alone tests a tail: no code outside ensemble reads a
+    # histogram's counts or asks scan for one, and in farey only _tails
+    # calls scan.
+    assert {scope.split(".")[0] for scope in _src_readers("counts")} == {
+        "ensemble"}
+    for path in sorted((SRC / "cfq").glob("*.py")):
+        if path.stem != "ensemble":
+            keywords = {node.arg for node in ast.walk(
+                ast.parse(path.read_text())) if isinstance(node, ast.keyword)}
+            assert "with_histogram" not in keywords, path.stem
+    assert [scope for scope in _src_readers("scan")
+            if scope.startswith("farey")] == ["farey._tails"]
 
 
 def test_command_output_has_one_writer():

@@ -187,6 +187,17 @@ def test_statspec_with_weight_pickles():
     assert back != StatSpec("restricted", f=WeightFn.square(), eta=1, theta=4)
 
 
+def test_builtin_weight_ignores_table_start():
+    # A built-in weight never reads table_start, so it does not tell two
+    # weights, or two restricted specs, apart
+    assert WeightFn("one", table_start=3) == WeightFn.one()
+    assert hash(WeightFn("one", table_start=3)) == hash(WeightFn.one())
+    specs = [StatSpec("restricted", f=f, eta=1, theta=4)
+             for f in (WeightFn("identity", table_start=7),
+                       WeightFn.identity())]
+    assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+
+
 def test_cli_import_loads_no_class_generator():
     script = ("import sys\n"
               "bare = set(sys.modules)\n"
