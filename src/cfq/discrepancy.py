@@ -192,15 +192,23 @@ def reduced_fraction_discrepancy(N: int, rng: IntervalQ) -> DiscrepancyReport:
     return extreme_discrepancy(PointSet.reduced_fractions(N), rng)
 
 
+#: Marks an invariant of a StepFn that is not yet computed.
+_UNSET = object()
+
+
 class StepFn:
     """Rational step function given as (interval, value) pieces.
 
     Pieces may overlap; the value at a point is the sum over pieces that
     contain it.  This matches how the digit-counting weight is built from
     its two interval families.
+
+    A StepFn is immutable, so each invariant (integral, support,
+    variation, the values scaled to integers) is computed on its first
+    use and kept.
     """
 
-    __slots__ = ("pieces",)
+    __slots__ = ("pieces", "_integral", "_support", "_variation", "_values")
 
     def __init__(self, pieces: Iterable[tuple[IntervalQ, Rational]]):
         checked = []
@@ -210,7 +218,18 @@ class StepFn:
             if iv.lo < 0 or iv.hi > 1:
                 raise BadSpec(f"piece {iv} not within [0, 1]")
             checked.append((iv, Fraction(v)))
-        self.pieces = tuple(checked)
+        object.__setattr__(self, "pieces", tuple(checked))
+        for name in self.__slots__[1:]:
+            object.__setattr__(self, name, _UNSET)
+
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
+    def __reduce__(self):
+        return type(self), (self.pieces,)
+
+    def _keep(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
@@ -218,16 +237,32 @@ class StepFn:
                    start=Fraction(0))
 
     def integral(self) -> Fraction:
-        return sum((v * iv.measure for iv, v in self.pieces),
-                   start=Fraction(0))
+        if self._integral is _UNSET:
+            total = sum((v * iv.measure for iv, v in self.pieces),
+                        start=Fraction(0))
+            self._keep("_integral", total)
+        return self._integral
 
     def support(self) -> IntervalQ | None:
-        """Smallest closed interval outside which the function vanishes."""
-        live = [iv for iv, v in self.pieces if v != 0]
-        if not live:
-            return None
-        return IntervalQ(min(iv.lo for iv in live), max(iv.hi for iv in live),
-                         True, True)
+        """Closed hull of the pieces whose value is not zero, or None.
+
+        The function vanishes outside it.  Pieces of nonzero values may
+        still cancel, so the function need not be nonzero at its ends.
+        """
+        if self._support is _UNSET:
+            live = [iv for iv, v in self.pieces if v != 0]
+            hull = (IntervalQ(min(iv.lo for iv in live),
+                              max(iv.hi for iv in live), True, True)
+                    if live else None)
+            self._keep("_support", hull)
+        return self._support
+
+    def _scaled(self) -> tuple[int, list[int]]:
+        """(W, [v * W for each piece value v]), W the lcm of their
+        denominators."""
+        if self._values is _UNSET:
+            self._keep("_values", _scaled([v for _, v in self.pieces]))
+        return self._values
 
     def variation(self) -> Fraction:
         """Total variation on [0, 1], exact.
@@ -240,32 +275,42 @@ class StepFn:
         the variation is the sum of their absolute values.  Breakpoints
         and values are scaled to integers by the lcm of their denominators.
         """
-        L, E = _scaled([e for iv, _ in self.pieces for e in (iv.lo, iv.hi)])
-        W, ws = _scaled([v for _, v in self.pieces])
-        # breakpoint j sits at position 2j, the gap after it at 2j + 1
-        at = {c: 2 * j for j, c in enumerate(sorted(set(E) | {0, L}))}
-        jumps = [0] * (len(at) * 2)
-        for (iv, _), w, lo, hi in zip(self.pieces, ws, E[::2], E[1::2]):
-            jumps[at[lo] + (not iv.lo_closed)] += w
-            jumps[at[hi] + iv.hi_closed] -= w
-        return Fraction(sum(map(abs, jumps[1:-1])), W)
+        if self._variation is _UNSET:
+            L, E = _scaled([e for iv, _ in self.pieces
+                            for e in (iv.lo, iv.hi)])
+            W, ws = self._scaled()
+            # breakpoint j sits at position 2j, the gap after it at 2j + 1
+            at = {c: 2 * j for j, c in enumerate(sorted(set(E) | {0, L}))}
+            jumps = [0] * (len(at) * 2)
+            for (iv, _), w, lo, hi in zip(self.pieces, ws, E[::2], E[1::2]):
+                jumps[at[lo] + (not iv.lo_closed)] += w
+                jumps[at[hi] + iv.hi_closed] -= w
+            self._keep("_variation", Fraction(sum(map(abs, jumps[1:-1])), W))
+        return self._variation
 
 
 def koksma_check(g: StepFn, ps: PointSet) -> bool:
     """|mean of g over ps - integral of g| <= V(g) * extreme discrepancy.
 
     The discrepancy is taken over the support of g; a zero function passes
-    trivially.
+    trivially.  A support [v, v] of one point has the closed count of v
+    over M as its discrepancy, since [v, v] is its only nonempty
+    subinterval.
     """
     M = len(ps)
     if M == 0:
         raise EmptySet("koksma check needs at least one point")
     supp = g.support()
-    # g summed over the points, piece by piece: value times points held
-    mean = sum((v * ps.count(iv) for iv, v in g.pieces),
-               start=Fraction(0)) / M
+    # g summed over the points, piece by piece: value times points held,
+    # in integers over the lcm W of the values
+    W, ws = g._scaled()
+    mean = Fraction(sum(w * ps.count(iv) for (iv, _), w in zip(g.pieces, ws)),
+                    W * M)
     lhs = abs(mean - g.integral())
-    if supp is None or supp.measure == 0:
+    if supp is None:
         return lhs == 0
-    disc = extreme_discrepancy(ps, supp).value
+    if supp.measure == 0:
+        disc = Fraction(ps.count(supp), M)
+    else:
+        disc = extreme_discrepancy(ps, supp).value
     return lhs <= g.variation() * disc

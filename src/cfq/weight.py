@@ -165,7 +165,11 @@ def weight_row_at(a: int, N: int, k: int, f: WeightFn, w: Window) -> Rational:
     # Both interval families around b/k live within 1/k^2 of b/k, so only
     # numerators b with |a k - b N| k <= N can contribute: the b with
     # a k^2 - N <= b N k <= a k^2 + N, of which at most one is prime to k
-    # once k >= 2.
+    # once k >= 2.  a k - b N is r = a k mod N or r - N at its smallest, so
+    # when both are out of reach no b is in range.
+    r = a * k % N
+    if r * k > N and (N - r) * k > N:
+        return 0
     Nk, ak2 = N * k, a * k * k
     total: Rational = 0
     for b in range(max(1, -((N - ak2) // Nk)), min(k, (ak2 + N) // Nk) + 1):
@@ -201,6 +205,7 @@ def row_sum(N: int, k: int, f: WeightFn, w: Window) -> Fraction:
     """W_{k,f}: the weight row averaged over a in Z_N*, exact."""
     if not 1 <= k <= N - 1:
         raise InvalidWindow(f"need 1 <= k <= N-1, got k={k}, N={N}")
+    f.validate_on(w, max_digit=N)
     units = list(_units(N, 1, N))
     total = sum(weight_row_at(a, N, k, f, w) for a in units)
     return Fraction(total) / len(units)

@@ -1,6 +1,8 @@
 import bisect
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -290,3 +292,126 @@ def test_integer_sweep_matches_fraction_sweep():
                     Fraction(rnd.randint(-6, 6), rnd.choice((1, 2, 3))))
                    for _ in range(rnd.randint(0, 8)))
         assert g.variation() == _midpoint_variation(g), g.pieces
+
+
+def test_stepfn_is_immutable():
+    g = StepFn([(IntervalQ(Fraction(1, 4), Fraction(1, 2), True, True), 1)])
+    g.variation()
+    for name in ("pieces", "_variation", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g.variation() == 2 and len(g.pieces) == 1
+    # pickling and copying rebuild from the pieces
+    for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert h.pieces == g.pieces and h.variation() == 2
+
+
+# The invariants of a StepFn computed from its pieces on every call, as
+# oracles for the values a StepFn keeps.
+def _plain_integral(g: StepFn) -> Fraction:
+    return sum((v * iv.measure for iv, v in g.pieces), start=Fraction(0))
+
+
+def _plain_support(g: StepFn) -> IntervalQ | None:
+    live = [iv for iv, v in g.pieces if v != 0]
+    if not live:
+        return None
+    return IntervalQ(min(iv.lo for iv in live), max(iv.hi for iv in live),
+                     True, True)
+
+
+def _plain_variation(g: StepFn) -> Fraction:
+    def scaled(values):
+        L = math.lcm(*{x.denominator for x in values})
+        return L, [x.numerator * (L // x.denominator) for x in values]
+
+    L, E = scaled([e for iv, _ in g.pieces for e in (iv.lo, iv.hi)])
+    W, ws = scaled([v for _, v in g.pieces])
+    at = {c: 2 * j for j, c in enumerate(sorted(set(E) | {0, L}))}
+    jumps = [0] * (len(at) * 2)
+    for (iv, _), w, lo, hi in zip(g.pieces, ws, E[::2], E[1::2]):
+        jumps[at[lo] + (not iv.lo_closed)] += w
+        jumps[at[hi] + iv.hi_closed] -= w
+    return Fraction(sum(map(abs, jumps[1:-1])), W)
+
+
+def _plain_koksma(g: StepFn, ps: PointSet) -> bool:
+    """koksma_check with a Fraction mean and the invariants recomputed.
+
+    A one-point support [v, v] is scored by brute force over its
+    subintervals.
+    """
+    M = len(ps)
+    supp = _plain_support(g)
+    mean = sum((v * ps.count(iv) for iv, v in g.pieces),
+               start=Fraction(0)) / M
+    lhs = abs(mean - _plain_integral(g))
+    if supp is None:
+        return lhs == 0
+    if supp.measure == 0:
+        disc = brute_extreme(ps, supp)
+    else:
+        disc = extreme_discrepancy(ps, supp).value
+    return lhs <= _plain_variation(g) * disc
+
+
+def _random_stepfn(rnd: random.Random, dens, most=8) -> StepFn:
+    return StepFn((_random_interval(rnd, dens),
+                   Fraction(rnd.randint(-6, 6), rnd.choice((1, 2, 3))))
+                  for _ in range(rnd.randint(0, most)))
+
+
+def test_stepfn_invariants_are_computed_once():
+    rnd = random.Random(26)
+    dens = (1, 2, 3, 5, 6, 7, 12, 30, 97)
+    for _ in range(500):
+        g = _random_stepfn(rnd, dens)
+        want = (_plain_integral(g), _plain_support(g), _plain_variation(g))
+        for _ in range(2):
+            assert (g.integral(), g.support(), g.variation()) == want, g.pieces
+        assert g.variation() == _midpoint_variation(g), g.pieces
+
+
+def test_koksma_matches_fraction_mean():
+    steps = [StepFn(weight_step_pieces(b, k, f, Window(1, 5)))
+             for b, k in ((1, 1), (1, 2), (2, 3), (2, 5), (3, 7))
+             for f in (WeightFn.one(), WeightFn.identity())]
+    # one StepFn against every point set, so its kept invariants are reused
+    for g in steps:
+        for N in range(2, 41):
+            ps = PointSet.reduced_fractions(N)
+            assert koksma_check(g, ps) == _plain_koksma(g, ps), (g.pieces, N)
+    rnd = random.Random(62)
+    dens = (1, 2, 3, 4, 6, 10, 12)
+    for _ in range(300):
+        g = _random_stepfn(rnd, dens, 5)
+        for _ in range(3):
+            ps = PointSet.from_values(
+                Fraction(rnd.randint(0, den), den)
+                for den in rnd.choices(dens, k=rnd.randint(1, 12)))
+            assert koksma_check(g, ps) == _plain_koksma(g, ps), (g.pieces, ps)
+
+
+def test_koksma_one_point_support():
+    third = IntervalQ(Fraction(1, 3), Fraction(1, 3), True, True)
+    g = StepFn([(third, 1)])
+    ps = PointSet.reduced_fractions(3)
+    # |1/2 - 0| <= V(g) * D = 2 * 1/2
+    assert g.support() == third and g.variation() == 2
+    assert koksma_check(g, ps)
+    rnd = random.Random(11)
+    for _ in range(300):
+        den = rnd.choice((1, 2, 3, 4, 6))
+        x = Fraction(rnd.randint(0, den), den)
+        point = IntervalQ(x, x, True, True)
+        g = StepFn((point, Fraction(rnd.randint(-4, 4), rnd.choice((1, 3))))
+                   for _ in range(rnd.randint(1, 3)))
+        ps = PointSet.from_values(
+            rnd.choice((x, Fraction(rnd.randint(0, 12), 12)))
+            for _ in range(rnd.randint(1, 10)))
+        mean = sum(map(g, ps.points)) / len(ps)
+        # the integral is 0 and [x, x] the only range scored
+        assert abs(mean) <= _midpoint_variation(g) * brute_extreme(ps, point)
+        assert koksma_check(g, ps), (g.pieces, ps)

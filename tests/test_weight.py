@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfq.core import ReducedFraction, WeightFn, Window, cf_digits, convergents_of
-from cfq.errors import BadDigit, InvalidWindow, NotCoprime
+from cfq.errors import BadDigit, InvalidWeight, InvalidWindow, NotCoprime
 from cfq.weight import (IntervalQ, _bijection_rhs, _hits_at_fraction,
                         _interval, bijection_identity_check,
                         counting_identity_check, integral_row, interval_I,
@@ -398,3 +398,54 @@ def test_step_pieces():
     pieces = weight_step_pieces(1, 2, WeightFn.identity(), Window(1, 3))
     assert len(pieces) == 6
     assert all(v == m for (iv, v), m in zip(pieces, [1, 1, 2, 2, 3, 3]))
+
+
+def _windowed_row_at(a, N, k, f, w):
+    """weight_row_at with no reach test: every b of its window is tried."""
+    if k < 1:
+        return 0
+    Nk, ak2 = N * k, a * k * k
+    total = 0
+    for b in range(max(1, -((N - ak2) // Nk)), min(k, (ak2 + N) // Nk) + 1):
+        if math.gcd(b, k) == 1:
+            for m in _hits_at_fraction(b, k, a, N):
+                if w.contains(m):
+                    total += f(m)
+    return total
+
+
+def test_reach_test_skips_only_empty_windows():
+    # For every a/N with N <= 60 and 0 <= a <= N, reduced or not, and every
+    # 1 <= k <= N + 1: the same row with and without the reach test, for
+    # a built-in and a table weight, and an empty b window wherever the
+    # test finds a k - b N out of reach.
+    skipped = 0
+    for N in range(1, 61):
+        weights = ((WeightFn.identity(), Window(1)),
+                   (WeightFn("table", range(1, N + 2)), Window(1, N + 1)))
+        for a in range(N + 1):
+            for k in range(1, N + 2):
+                for f, w in weights:
+                    assert weight_row_at(a, N, k, f, w) \
+                        == _windowed_row_at(a, N, k, f, w), (a, N, k, f)
+                r = a * k % N
+                if r * k > N and (N - r) * k > N:
+                    skipped += 1
+                    Nk, ak2 = N * k, a * k * k
+                    assert max(1, -((N - ak2) // Nk)) \
+                        > min(k, (ak2 + N) // Nk), (a, N, k)
+    assert skipped > 0
+    _hits_at_fraction.cache_clear()
+
+
+def test_row_sum_checks_its_weight_first():
+    # The table covers [1, 3] and the window needs [1, 5]: no (N, k) is
+    # summed, whether or not its rows reach a digit the table lacks.
+    short = WeightFn("table", [1, 2, 3])
+    for N, k in ((7, 2), (11, 2), (13, 2), (29, 2)):
+        with pytest.raises(InvalidWeight, match=r"covers \[1, 3\]"):
+            row_sum(N, k, short, Window(1, 5))
+    full = WeightFn("table", [1, 2, 3, 4, 5])
+    for N, k in ((7, 2), (11, 2), (29, 3)):
+        assert row_sum(N, k, full, Window(1, 5)) \
+            == row_sum(N, k, WeightFn.identity(), Window(1, 5))
