@@ -75,8 +75,7 @@ def _write(out, fmt: str, records) -> None:
     for i, rec in enumerate(records):
         if not i:
             out.write(",".join(rec) + "\n")
-        out.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                           for v in rec.values()) + "\n")
+        out.write(",".join(map(str, rec.values())) + "\n")
 
 
 def _usage_error(message: str) -> NoReturn:

@@ -328,6 +328,12 @@ def windowed_sum(digits: Sequence[int], f: WeightFn, eta: int,
     return total
 
 
+def digit_sum_center(N: int) -> float:
+    """(12/pi^2) ln N ln ln N, the main term of S(a/N) over Z_N* (T1)."""
+    logN = math.log(N)
+    return (12 / math.pi ** 2) * logN * math.log(logN)
+
+
 def stat_sum(cf: ContinuedFraction) -> int:
     """S = sum of all partial quotients."""
     return sum(cf.digits)

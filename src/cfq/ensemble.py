@@ -153,8 +153,10 @@ def _map_ranges(range_fn, N: int, workers: int, *args) -> list:
 
     The ranges run serially where the platform cannot fork.
     """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+    cpus = 1  # one worker runs in this process whatever the CPU count
+    if workers >= 2:
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     ranges, processes = _partition(N // 2 + 1, workers, cpus)
     jobs = [(N, lo, hi) + args for lo, hi in ranges]
     if processes > 1:
@@ -314,10 +316,10 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
     phi = euler_phi(N)
     if count != phi:
         raise InvariantError(f"scan visited {count} numerators, phi({N}) = {phi}")
-    return EnsembleSummary(N=N, phi=phi, spec=spec, count=count, scale=scale,
-                           sum_scaled=sum_scaled, sumsq_scaled=sumsq_scaled,
-                           tail_counts=dict(zip(thresholds, tails)),
-                           counts=counts, center=center, absolute=absolute)
+    # by position: a keyword build costs Record.__init__ a slice per field
+    return EnsembleSummary(N, phi, spec, count, scale, sum_scaled,
+                           sumsq_scaled, dict(zip(thresholds, tails)),
+                           counts, center, absolute)
 
 
 def _digit_range(args):
@@ -387,12 +389,6 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
             "target": target,
             "overflow": sum(p[0][m_max + 1] for p in parts),
             "last_counts": last, "interior_freq": interior}
-
-
-def digit_sum_center(N: int) -> float:
-    """(12/pi^2) ln N ln ln N, the main term of S(a/N) over Z_N* (T1)."""
-    logN = math.log(N)
-    return (12 / PI2) * logN * math.log(logN)
 
 
 def hensley_limit(t: float) -> float:

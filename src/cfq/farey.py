@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 
-from .core import ReducedFraction, Record
-from .ensemble import StatSpec, digit_sum_center, hensley_limit, scan
+from .core import ReducedFraction, Record, digit_sum_center
+from .ensemble import StatSpec, hensley_limit, scan
 from .errors import FAREY_LIMIT, BadRange, LimitExceeded
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .core import Record, WeightFn, Window
-from .ensemble import PI2, StatSpec, digit_sum_center, hensley_limit, scan
+from .core import Record, WeightFn, Window, digit_sum_center
+from .ensemble import PI2, StatSpec, hensley_limit, scan
 from .errors import HISTOGRAM_LIMIT, InvalidSpec, InvalidWindow, LimitExceeded
 
 

@@ -164,11 +164,17 @@ def test_criterion_05_reflection():
 
 
 def _brute_extreme(ps: PointSet, rng: IntervalQ) -> Fraction:
+    # Every point and both range ends as integers over one L, so each
+    # endpoint pair scores |n_in L - width M| and one Fraction is built.
     import bisect
-    pts = ps.points
+    L = math.lcm(ps.scale, rng.lo.denominator, rng.hi.denominator)
+    pts = [v * (L // ps.scale) for v in ps.values]
     M = len(pts)
-    cands = sorted({x for x in pts if rng.contains(x)} | {rng.lo, rng.hi})
-    best = Fraction(-1)
+    rlo, rhi = (x.numerator * (L // x.denominator) for x in (rng.lo, rng.hi))
+    cands = sorted({x for x in pts if rlo <= x <= rhi
+                    and (x != rlo or rng.lo_closed)
+                    and (x != rhi or rng.hi_closed)} | {rlo, rhi})
+    best = -1
     for i, lo in enumerate(cands):
         le_lo = bisect.bisect_right(pts, lo)
         lt_lo = bisect.bisect_left(pts, lo)
@@ -179,8 +185,8 @@ def _brute_extreme(ps: PointSet, rng: IntervalQ) -> Fraction:
             for n_in in ({le_hi - lt_lo, le_hi - le_lo, lt_hi - lt_lo,
                           lt_hi - le_lo} if lo < hi
                          else {le_lo - lt_lo}):
-                best = max(best, abs(Fraction(n_in, M) - width))
-    return best
+                best = max(best, abs(n_in * L - width * M))
+    return Fraction(best, L * M)
 
 
 def test_criterion_06_discrepancy_and_koksma():

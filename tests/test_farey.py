@@ -4,9 +4,9 @@ import math
 import pytest
 
 import cfq.farey
-from cfq.core import cf_digits
+from cfq.core import cf_digits, digit_sum_center
 from cfq.dedekind import dedekind_scaled
-from cfq.ensemble import StatSpec, digit_sum_center, euler_phi, scan
+from cfq.ensemble import StatSpec, euler_phi, scan
 from cfq.errors import BadRange
 from cfq.farey import (VardiReport, bd_tail, cauchy_cdf, enumerate_farey,
                        hensley_tail, vardi_sample)

@@ -54,7 +54,7 @@ PROBED = {
 }
 
 # Modules that some commands do not need: core every command but --help
-# loads; ensemble scan, gk, search, farey and constants; search only
+# loads; ensemble scan, gk, farey and constants; search only
 # search; farey only farey; discrepancy and weight only discrepancy;
 # dedekind only D, expand and dedekind; theorems only constants; fractions
 # (with the decimal and numbers it imports) only a command that builds a
@@ -230,7 +230,7 @@ def test_importing_cli_loads_no_command_only_module():
     (["--help"], []),
     (["scan", "101", "--stat", "S"], [*SCAN, "json"]),
     (["gk", "101"], SCAN),
-    (["search", "--range", "2", "10"], [*SCAN, "cfq.search"]),
+    (["search", "--range", "2", "10"], ["cfq.core", "cfq.search"]),
     (["farey", "10"], [*SCAN, "cfq.farey", "json"]),
     (["discrepancy", "6"], ["cfq.core", "cfq.discrepancy", "cfq.weight",
                             *EXACT, "json"]),
@@ -245,11 +245,13 @@ def test_importing_cli_loads_no_command_only_module():
     (["scan", "101", "--stat", "restricted", "--eta", "2", "--format",
       "csv"], SCAN),
     (["search", "--zaremba", "5", "--range", "2", "10"],
-     [*SCAN, "cfq.search", "json"]),
+     ["cfq.core", "cfq.search", "json"]),
     (["farey", "10", "--law", "vardi"],
      [*SCAN, "cfq.dedekind", "cfq.farey", "json"]),
     (["farey", "10", "--law", "bd"], [*SCAN, "cfq.farey", "json"]),
     (["constants"], [*SCAN, "cfq.theorems", "json"]),
+    (["search", "--min-stat", "S", "--range", "2", "10"],
+     ["cfq.core", "cfq.search"]),
 ])
 def test_command_loads_only_what_it_runs(argv, loaded):
     out = _fresh("import runpy, sys\n"

@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from cfq.core import cf_digits
-from cfq.errors import BadRange, LimitExceeded
+from cfq import search
+from cfq.core import _units, cf_digits, digit_sum_center
+from cfq.ensemble import _representatives
+from cfq.errors import BadRange, InvariantError, LimitExceeded
 from cfq.search import min_max_quotient, min_sum, zaremba_scan
 
 
@@ -59,8 +62,97 @@ def test_search_matches_full_expansion_brute_force():
             r = finder(N)
             expected = min((fold(cf_digits(a, N)), a) for a in units)
             assert (r.min_value, r.argmin_a) == expected, (finder, N)
-    for K in range(1, 5):
+    for K in range(1, 7):
         brute = [N for N in range(2, 401)
                  if all(max(cf_digits(a, N)) > K
                         for a in range(1, N) if math.gcd(a, N) == 1)]
         assert zaremba_scan(2, 400, K) == brute, K
+
+
+# The searches as they were before they skipped numerators: the S minimum
+# walked one member per orbit to its last digit, the M search and the
+# Zaremba scan started every N at a = 1.
+def _full_walk_min_sum(N):
+    best, best_a = N + 1, None
+    for a, _, digits in _representatives(N, 1, N // 2 + 1):
+        s = sum(digits)
+        if s < best:
+            best, best_a = s, a
+    bound = digit_sum_center(N) if N >= 3 else float("inf")
+    return (N, best_a, best, bound, best <= bound)
+
+
+def _full_walk_min_max_quotient(N):
+    best, best_a = N + 1, None
+    for a in _units(N, 1, N):
+        m = search._max_digit_below(a, N, best)
+        if m is not None:
+            best, best_a = m, a
+    bound = 3 * math.log(N)
+    assert best <= bound
+    return (N, best_a, best, bound, True)
+
+
+def _full_walk_zaremba_scan(N_lo, N_hi, K):
+    bad = []
+    for N in range(N_lo, N_hi + 1):
+        for a in _units(N, 1, N):
+            if search._max_digit_below(a, N, K + 1) is not None:
+                break
+        else:
+            bad.append(N)
+    return bad
+
+
+def _fields(r):
+    return (r.N, r.argmin_a, r.min_value, r.bound_value, r.bound_holds)
+
+
+def test_searches_match_their_full_walks():
+    for N in range(2, 1501):
+        assert _fields(min_sum(N)) == _full_walk_min_sum(N), N
+        assert (_fields(min_max_quotient(N))
+                == _full_walk_min_max_quotient(N)), N
+    for K in range(1, 7):
+        assert zaremba_scan(2, 1500, K) == _full_walk_zaremba_scan(2, 1500,
+                                                                   K), K
+
+
+def _record_calls(monkeypatch, name):
+    calls = []
+    real = getattr(search, name)
+
+    def probe(a, N, bound):
+        calls.append((a, N, bound))
+        return real(a, N, bound)
+    monkeypatch.setattr(search, name, probe)
+    return calls
+
+
+def test_searches_walk_only_numerators_that_can_win(monkeypatch):
+    maxes = _record_calls(monkeypatch, "_max_digit_below")
+    sums = _record_calls(monkeypatch, "_sum_below")
+    for N in range(2, 400):
+        min_sum(N)
+        assert sums and all(a <= N // 2 for a, _, _ in sums), N
+        sums.clear()
+        min_max_quotient(N)
+        B = math.floor(3 * math.log(N)) + 1
+        assert maxes and all(a > N // B for a, _, _ in maxes), N
+        maxes.clear()
+    for K in range(1, 7):
+        zaremba_scan(2, 400, K)
+        assert all(a > N // (K + 1) for a, N, _ in maxes), K
+        maxes.clear()
+
+
+def test_min_max_raises_when_no_numerator_is_within_the_bound(monkeypatch):
+    # with ln N read as 1, the bound 3 is below min M(a/6) = 5, so the
+    # search starts at B = 4 and no numerator beats it
+    monkeypatch.setattr(search, "math",
+                        SimpleNamespace(log=lambda N: 1.0, floor=math.floor))
+    with pytest.raises(InvariantError) as info:
+        min_max_quotient(6)
+    message = str(info.value)
+    assert message == "min M over Z_6* exceeds 3 ln N = 3.0"
+    assert "4" not in message
