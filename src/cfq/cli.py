@@ -163,7 +163,7 @@ def _spec_from_args(args) -> StatSpec:
     return StatSpec(args.stat)
 
 
-def _summary_record(summary) -> dict:
+def _summary_record(summary, columns) -> dict:
     rec = {
         "N": summary.N,
         "phi": summary.phi,
@@ -171,8 +171,8 @@ def _summary_record(summary) -> dict:
         "mean": summary.mean,
         "variance": summary.variance,
     }
-    for t in sorted(summary.tail_counts):
-        rec[f"tail@{t:g}"] = summary.tail_fraction(t)
+    for t, label in columns:
+        rec[label] = summary.tail_fraction(t)
     return rec
 
 
@@ -196,8 +196,10 @@ def cmd_scan(args):
                             f"{SCAN_LIMIT} values of N")
     workers = _workers("scan", args)
     spec = _spec_from_args(args)
+    columns = sorted(zip(thresholds, labels))
     return args.format, (
-        _summary_record(scan(N, spec, thresholds=thresholds, workers=workers))
+        _summary_record(scan(N, spec, thresholds=thresholds, workers=workers),
+                        columns)
         for N in range(lo, hi + 1))
 
 
@@ -278,8 +280,7 @@ def cmd_constants(args):
     from .theorems import constants
     tc = constants(WeightFn(args.f), Window(args.eta, args.theta),
                    args.b, args.c)
-    rec = {k: getattr(tc, k) for k in
-           ("A", "B", "C", "D", "Dprime", "Xi", "mu")}
+    rec = {k: getattr(tc, k) for k in tc.__slots__}
     rec.update({"f": args.f, "eta": args.eta, "theta": args.theta,
                 "b": args.b, "c": args.c})
     return "json", [rec]
@@ -390,15 +391,9 @@ def _run(args, out) -> int:
     try:
         _write(out, *args.func(args))
         return 0
-    except LimitExceeded as exc:
+    except (CfqError, ValueError, ZeroDivisionError) as exc:
         print(f"cfq: {exc}", file=sys.stderr)
-        return 4
-    except CfqError as exc:
-        print(f"cfq: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"cfq: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, LimitExceeded) else 3
 
 
 def main(argv=None) -> int:

@@ -324,11 +324,11 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
 
 def _digit_range(args):
     """(counts, last) over the orbits of the representatives in [lo, hi);
-    index m_max + 1 of counts holds the digits above m_max."""
+    index m_max + 1 of each holds the digits above m_max."""
     N, lo, hi, m_max = args
     top = m_max + 1
     counts = [0] * (top + 1)
-    last = [0] * top
+    last = [0] * (top + 1)
     for a, star, d in _representatives(N, lo, hi):
         # Every member carries the digits of a, except that N - a and
         # N - a* swap a_1 and a_r for 1, a_1 - 1 and 1, a_r - 1.  A
@@ -344,8 +344,7 @@ def _digit_range(args):
                 counts[q - 1] += 1
         # a and N - a end in a_r, a* and N - a* in a_1; N - 1 = [0; 1, N-1]
         for q in (d[-1], d[0] if len(d) > 1 else d[0] - 1):
-            if q <= m_max:
-                last[q] += w
+            last[q if q <= m_max else top] += w
     return counts, last
 
 
@@ -381,6 +380,10 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
     counts = {m: sum(p[0][m] for p in parts) for m in range(1, m_max + 1)}
     last = {m: sum(p[1][m] for p in parts) for m in counts}
     phi = euler_phi(N)
+    members = sum(sum(p[1]) for p in parts)  # one last digit each
+    if members != phi:
+        raise InvariantError(f"digit_histogram visited {members} numerators, "
+                             f"phi({N}) = {phi}")
     norm = PI2 / (12 * math.log(2) * math.log(N))
     freq = {m: norm * counts[m] / phi for m in counts}
     interior = {m: norm * (counts[m] - last[m]) / phi for m in counts}

@@ -84,6 +84,9 @@ def vardi_sample(Q: int, probes: tuple = (-4.0, -2.0, -1.0, -0.5, 0.0,
     Report-only: empirical CDF at the probe points and the sup distance
     over those probes.  Members with N = 2 are skipped.
     """
+    _scans(Q)  # Q is checked before the probes
+    if not probes:
+        raise BadRange("vardi_sample needs at least one probe")
     probes = tuple(sorted(probes))
     # D((N - a)/N) = -D(a/N), so as many members have 2 pi D / ln N <= p
     # as have D >= -p ln N / (2 pi): the scan's tail at t = -p / (2 pi)

@@ -86,14 +86,18 @@ def thm_harness(N: int, which: str, t_values: Optional[list] = None,
                 "mu": mu, "mu_lnN": mu * logN, "ratio": ratio,
                 "ok": abs(ratio - 1) <= 0.10}
     t_values = list(t_values or [2.0, 4.0, 8.0])
-    if which == "T1":
-        center = digit_sum_center(N)
-        summary = scan(N, StatSpec("S"), thresholds=t_values, workers=workers,
-                       center=center, absolute=True)
+    if which in ("T1", "T4"):
+        center = digit_sum_center(N) if which == "T1" else 0.0
+        summary = scan(N, StatSpec("S" if which == "T1" else "D"),
+                       thresholds=t_values, workers=workers, center=center,
+                       absolute=True)
         rows = [{"t": t, "fraction": summary.tail_fraction(t),
                  "product": t * summary.tail_fraction(t)} for t in t_values]
-        return {"theorem": "T1", "N": N, "center": center, "rows": rows,
-                "ok": all(r["product"] <= 3 for r in rows)}
+        report = {"theorem": which, "N": N, "center": center, "rows": rows,
+                  "ok": all(r["product"] <= 3 for r in rows)}
+        if which == "T4":
+            del report["center"]  # D is not centered
+        return report
     if which == "T2":
         summary = scan(N, StatSpec("M"), thresholds=t_values, workers=workers)
         rows = []
@@ -107,13 +111,6 @@ def thm_harness(N: int, which: str, t_values: Optional[list] = None,
         mono = all(u >= v for u, v in zip(fracs, fracs[1:]))
         return {"theorem": "T2", "N": N, "rows": rows, "monotone": mono,
                 "ok": mono and all(r["in_band"] for r in rows)}
-    if which == "T4":
-        summary = scan(N, StatSpec("D"), thresholds=t_values, workers=workers,
-                       absolute=True)
-        rows = [{"t": t, "fraction": summary.tail_fraction(t),
-                 "product": t * summary.tail_fraction(t)} for t in t_values]
-        return {"theorem": "T4", "N": N, "rows": rows,
-                "ok": all(r["product"] <= 3 for r in rows)}
     raise InvalidSpec(f"unknown harness {which!r}")
 
 

@@ -163,20 +163,18 @@ def weight_row_at(a: int, N: int, k: int, f: WeightFn, w: Window) -> Rational:
     if k < 1:
         return 0
     # Both interval families around b/k live within 1/k^2 of b/k, so only
-    # numerators b with |a k - b N| k <= N can contribute: the b with
-    # a k^2 - N <= b N k <= a k^2 + N, of which at most one is prime to k
-    # once k >= 2.  a k - b N is r = a k mod N or r - N at its smallest, so
-    # when both are out of reach no b is in range.
-    r = a * k % N
-    if r * k > N and (N - r) * k > N:
-        return 0
-    Nk, ak2 = N * k, a * k * k
+    # numerators b with |a k - b N| k <= N can contribute.  With q, r =
+    # divmod(a k, N), a k - b N is r for b = q and r - N for b = q + 1;
+    # every other b is at least N away, out of reach for k >= 2.  For k = 1
+    # the one other b within N is q - 1 when r = 0, below 1 for a <= N.
+    q, r = divmod(a * k, N)
     total: Rational = 0
-    for b in range(max(1, -((N - ak2) // Nk)), min(k, (ak2 + N) // Nk) + 1):
-        if math.gcd(b, k) == 1:
-            for m in _hits_at_fraction(b, k, a, N):
-                if w.contains(m):
-                    total += f(m)
+    if r * k <= N and 0 < q <= k and math.gcd(q, k) == 1:
+        total += windowed_sum(_hits_at_fraction(q, k, a, N), f, w.eta,
+                              w.theta)
+    if (N - r) * k <= N and q < k and math.gcd(q + 1, k) == 1:
+        total += windowed_sum(_hits_at_fraction(q + 1, k, a, N), f, w.eta,
+                              w.theta)
     return total
 
 

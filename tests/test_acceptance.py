@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, one printed verdict line each.
+"""Acceptance gate: one test per criterion, one printed verdict line each,
+and a check of criterion 06's oracle on the open ranges it does not draw.
 
 Verdict lines suspend pytest capture so they are visible in any run mode.
 """
@@ -166,6 +167,8 @@ def test_criterion_05_reflection():
 def _brute_extreme(ps: PointSet, rng: IntervalQ) -> Fraction:
     # Every point and both range ends as integers over one L, so each
     # endpoint pair scores |n_in L - width M| and one Fraction is built.
+    # A subinterval may close an end only where rng does: at an open range
+    # end it is open, and no [v, v] sits there.
     import bisect
     L = math.lcm(ps.scale, rng.lo.denominator, rng.hi.denominator)
     pts = [v * (L // ps.scale) for v in ps.values]
@@ -178,13 +181,19 @@ def _brute_extreme(ps: PointSet, rng: IntervalQ) -> Fraction:
     for i, lo in enumerate(cands):
         le_lo = bisect.bisect_right(pts, lo)
         lt_lo = bisect.bisect_left(pts, lo)
+        lo_closes = lo != rlo or rng.lo_closed
+        starts = [lt_lo, le_lo] if lo_closes else [le_lo]  # [lo or (lo
         for hi in cands[i:]:
             le_hi = bisect.bisect_right(pts, hi)
             lt_hi = bisect.bisect_left(pts, hi)
+            hi_closes = hi != rhi or rng.hi_closed
+            ends = [le_hi, lt_hi] if hi_closes else [lt_hi]  # hi] or hi)
             width = hi - lo
-            for n_in in ({le_hi - lt_lo, le_hi - le_lo, lt_hi - lt_lo,
-                          lt_hi - le_lo} if lo < hi
-                         else {le_lo - lt_lo}):
+            if lo < hi:
+                counts = {e - s for s in starts for e in ends}
+            else:
+                counts = {le_lo - lt_lo} if lo_closes and hi_closes else set()
+            for n_in in counts:
                 best = max(best, abs(n_in * L - width * M))
     return Fraction(best, L * M)
 
@@ -217,6 +226,22 @@ def test_criterion_06_discrepancy_and_koksma():
     verdict(6, failures == 0 and koksma_failures == 0,
             f"sweep vs brute on 200 sets ({failures} mismatches), koksma "
             f"N<=200 ({koksma_failures} failures)")
+
+
+def test_criterion_06_oracle_on_open_ranges():
+    # The oracle of criterion 06 at an open range end: on random sets over
+    # 96ths, with the low end, the high end and then both ends open, it
+    # equals the sweep (the criterion itself draws closed ranges only).
+    rnd = random.Random(2025)
+    for trial in range(300):
+        pts = PointSet.from_values([Fraction(rnd.randint(0, 96), 96)
+                                    for _ in range(rnd.randint(1, 64))])
+        lo = Fraction(rnd.randint(0, 60), 96)
+        hi = Fraction(rnd.randint(61, 96), 96)
+        closed = [(False, True), (True, False), (False, False)][trial % 3]
+        rng = IntervalQ(lo, hi, *closed)
+        assert _brute_extreme(pts, rng) \
+            == extreme_discrepancy(pts, rng).value, (pts, rng)
 
 
 def test_criterion_07_gauss_kuzmin_fit():

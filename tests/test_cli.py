@@ -14,6 +14,7 @@ import pytest
 
 from cfq import cli
 from cfq.cli import main
+from cfq.errors import CfqError, LimitExceeded
 
 
 def run(capsys, *argv):
@@ -370,6 +371,22 @@ def test_bad_input_exit_codes(capsys, argv, code, message):
     assert got == code
     assert out.out == ""
     assert message in out.err
+
+
+@pytest.mark.parametrize("error, code", [
+    (CfqError("a domain error"), 3),
+    (LimitExceeded("a size limit"), 4),
+    (ValueError("a bad value"), 3),
+    (ZeroDivisionError("a zero divisor"), 3),
+])
+def test_errors_exit_with_their_codes(monkeypatch, capsys, error, code):
+    # _run maps each error a command raises, here while its first row is
+    # computed, to one exit code and one stderr line, and writes no row.
+    def failing_scan(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "scan", failing_scan)
+    assert run(capsys, "scan", "101") == (code, "", f"cfq: {error}\n")
 
 
 @pytest.mark.parametrize("value", ["abc", "-2", "0"])

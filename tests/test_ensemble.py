@@ -1,7 +1,9 @@
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,9 @@ from cfq.core import (ReducedFraction, WeightFn, Window, cf_digits, cf_walk,
                       stat_sum)
 from cfq.ensemble import (EnsembleSummary, StatSpec, digit_histogram,
                           euler_phi, scan)
-from cfq.errors import InvalidSpec, LimitExceeded
-from cfq.core import alt_sum, count_in, windowed_sum
+from cfq import ensemble
+from cfq.errors import InvalidSpec, InvariantError, LimitExceeded
+from cfq.core import alt_sum, count_in, digit_sum_center, windowed_sum
 from cfq.dedekind import dedekind_scaled
 from cfq.ensemble import HISTOGRAM_LIMIT, PI2, STAT_KINDS, _representatives
 from cfq.theorems import constants, mu_window, panov_mean_report, thm_harness
@@ -167,6 +170,50 @@ def test_harness_shapes(monkeypatch):
     monkeypatch.setattr("cfq.ensemble.scan", None)
     with pytest.raises(LimitExceeded):
         thm_harness(10007, "T3", b=1, c=HISTOGRAM_LIMIT + 1)
+
+
+def _tail_harness_ref(N, which, t_values):
+    """thm_harness's T1 and T4 reports as the two copies they once were."""
+    t_values = list(t_values or [2.0, 4.0, 8.0])
+    if which == "T1":
+        center = digit_sum_center(N)
+        summary = scan(N, StatSpec("S"), thresholds=t_values, center=center,
+                       absolute=True)
+        rows = [{"t": t, "fraction": summary.tail_fraction(t),
+                 "product": t * summary.tail_fraction(t)} for t in t_values]
+        return {"theorem": "T1", "N": N, "center": center, "rows": rows,
+                "ok": all(r["product"] <= 3 for r in rows)}
+    summary = scan(N, StatSpec("D"), thresholds=t_values, absolute=True)
+    rows = [{"t": t, "fraction": summary.tail_fraction(t),
+             "product": t * summary.tail_fraction(t)} for t in t_values]
+    return {"theorem": "T4", "N": N, "rows": rows,
+            "ok": all(r["product"] <= 3 for r in rows)}
+
+
+@pytest.mark.parametrize("N", [1009, 10007])
+@pytest.mark.parametrize("which", ["T1", "T4"])
+@pytest.mark.parametrize("t_values", [None, [0.5, 8.0, 1.0]])
+def test_tail_harnesses_are_one_report(N, which, t_values):
+    # Key for key and in the same key order, which json.dumps without
+    # sort_keys shows.
+    got, ref = thm_harness(N, which, t_values), _tail_harness_ref(
+        N, which, t_values)
+    assert got == ref
+    assert json.dumps(got) == json.dumps(ref)
+
+
+@pytest.mark.parametrize("kind", ["S", "D"])
+def test_a_lost_orbit_fails_the_member_count(monkeypatch, kind):
+    # A walk that drops an orbit visits fewer than phi(N) members, which
+    # scan and digit_histogram each report instead of a wrong result.
+    walk = ensemble._representatives
+    monkeypatch.setattr(ensemble, "_representatives",
+                        lambda N, lo, hi: islice(walk(N, lo, hi), 1, None))
+    for N in (7, 1009):
+        with pytest.raises(InvariantError, match=f"phi\\({N}\\)"):
+            scan(N, StatSpec(kind))
+        with pytest.raises(InvariantError, match=f"phi\\({N}\\)"):
+            digit_histogram(N, 5)
 
 
 def test_tail_monotone_in_t():

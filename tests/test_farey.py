@@ -155,6 +155,15 @@ def test_vardi_tails_match_histogram_per_N():
             ], (N, probes)
 
 
+def test_vardi_rejects_no_probes_before_scanning(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cfq.farey, "scan",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(BadRange, match="probe"):
+        vardi_sample(2000, probes=())
+    assert calls == []
+
+
 def test_laws_ask_scan_for_what_they_read(monkeypatch):
     # Every law sums the scan's tail counts with no histogram: hensley's
     # at t, bd's at t about each N's center, vardi's at -p/(2 pi)

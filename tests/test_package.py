@@ -130,10 +130,12 @@ def _src_readers(name):
 
 def test_units_are_enumerated_in_one_place():
     # A range over Z_N* comes from core._units; math.gcd only tests one
-    # number, and only _unit_blocks and euler_phi factor N.
+    # number (weight_row_at each of its two candidate prefixes), and only
+    # _unit_blocks and euler_phi factor N.
     assert _src_readers("gcd") == ["core.ReducedFraction.__init__",
                                    "dedekind.reciprocity_check",
                                    "weight._check_prefix",
+                                   "weight.weight_row_at",
                                    "weight.weight_row_at"]
     assert _src_readers("_prime_factors") == ["core._unit_blocks",
                                               "ensemble.euler_phi"]
@@ -166,6 +168,19 @@ def test_command_output_has_one_writer():
               and node.name.startswith("cmd_")}
     assert len(params) == 8
     assert params == dict.fromkeys(params, ["args"])
+
+
+def test_tail_columns_are_labelled_in_one_place():
+    # cli.py formats a tail@t label once, in cmd_scan, whose duplicate check
+    # and rows all read it; its one other mention is the scan help text.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    mentions = [(scope.name, type(node).__name__)
+                for scope in tree.body if isinstance(scope, ast.FunctionDef)
+                for node in ast.walk(scope)
+                for child in ast.iter_child_nodes(node)
+                if isinstance(child, ast.Constant)
+                and "tail@" in str(child.value)]
+    assert mentions == [("cmd_scan", "JoinedStr"), ("build_parser", "keyword")]
 
 
 def test_all_and_dir_list_the_public_names():
