@@ -21,8 +21,8 @@ from importlib import import_module
 from typing import TYPE_CHECKING, NoReturn
 
 from .errors import (DISCREPANCY_LIMIT, FAREY_LIMIT, HISTOGRAM_LIMIT,
-                     PRINT_DIGITS_LIMIT, SCAN_LIMIT, SEARCH_LIMIT, CfqError,
-                     LimitExceeded)
+                     PRINT_DIGITS_LIMIT, SCAN_LIMIT, SEARCH_LIMIT, STAT_KINDS,
+                     WEIGHT_KINDS, CfqError, LimitExceeded)
 
 # Every other module is imported by the command that runs it, so the parser
 # compiles only this module and errors; fractions is imported where a
@@ -33,30 +33,30 @@ if TYPE_CHECKING:
     from .ensemble import StatSpec
 
 
-def _on_call(module: str, name: str):
-    """A stand-in for cfq.<module>.<name> that imports the module at its
-    first call; it keeps the function in its own cell, not on this module,
-    so a name patched here after that call still sees every later call."""
+def _on_call(name: str):
+    """A stand-in for cfq.<name> that loads it, through the package's name
+    table, at its first call; it keeps the function in its own cell, not on
+    this module, so a name patched here after that call sees later calls."""
     real = None
 
     def call(*args, **kwargs):
         nonlocal real
         if real is None:
-            real = getattr(import_module(f"cfq.{module}"), name)
+            real = getattr(import_module("cfq"), name)
         return real(*args, **kwargs)
     call.__name__ = call.__qualname__ = name
     return call
 
 
 # Module-level, since a traced benchmark run patches these eight on cfq.cli.
-scan = _on_call("ensemble", "scan")
-digit_histogram = _on_call("ensemble", "digit_histogram")
-min_max_quotient = _on_call("search", "min_max_quotient")
-min_sum = _on_call("search", "min_sum")
-zaremba_scan = _on_call("search", "zaremba_scan")
-hensley_tail = _on_call("farey", "hensley_tail")
-vardi_sample = _on_call("farey", "vardi_sample")
-bd_tail = _on_call("farey", "bd_tail")
+scan = _on_call("scan")
+digit_histogram = _on_call("digit_histogram")
+min_max_quotient = _on_call("min_max_quotient")
+min_sum = _on_call("min_sum")
+zaremba_scan = _on_call("zaremba_scan")
+hensley_tail = _on_call("hensley_tail")
+vardi_sample = _on_call("vardi_sample")
+bd_tail = _on_call("bd_tail")
 
 
 def _frac_str(x: Fraction) -> str:
@@ -248,21 +248,15 @@ def cmd_search(args):
 
 
 def cmd_farey(args):
-    if args.law == "hensley":
-        emp, lim = hensley_tail(args.Q, args.t)
-        rec = {"Q": args.Q, "law": "hensley", "t": args.t,
-               "fraction": emp, "limit": lim}
-    elif args.law == "bd":
-        frac, prod = bd_tail(args.Q, args.t)
-        rec = {"Q": args.Q, "law": "bd", "t": args.t,
-               "fraction": frac, "t_times_fraction": prod}
-    else:
+    if args.law == "vardi":
         r = vardi_sample(args.Q)
-        rec = {"Q": args.Q, "law": "vardi", "count": r.count,
-               "probes": list(r.probes),
-               "empirical_cdf": list(r.empirical_cdf),
-               "cauchy_cdf": list(r.cauchy_cdf),
-               "sup_distance": r.sup_distance}
+        rec = {k: getattr(r, k) for k in r.__slots__}
+    else:
+        law, second = ((hensley_tail, "limit") if args.law == "hensley"
+                       else (bd_tail, "t_times_fraction"))
+        rec = {"Q": args.Q, "t": args.t}
+        rec["fraction"], rec[second] = law(args.Q, args.t)
+    rec["law"] = args.law
     return "json", [rec]
 
 
@@ -314,13 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
                    help=f"scan every N in [LO, HI], one output line each; "
                         f"HI and the number of N at most {SCAN_LIMIT}")
-    p.add_argument("--stat", default="S",
-                   choices=["S", "M", "L", "S_alt", "D", "restricted"])
+    p.add_argument("--stat", default="S", choices=STAT_KINDS)
     p.add_argument("--t", type=float_list,
                    help="comma-separated tail thresholds (times ln N)")
     p.add_argument("--b", type=int, help="window start for --stat L")
     p.add_argument("--c", type=int, help="window end for --stat L")
-    p.add_argument("--f", default="one", choices=["one", "identity", "square"],
+    p.add_argument("--f", default="one", choices=WEIGHT_KINDS,
                    help="weight for --stat restricted")
     p.add_argument("--eta", type=int, help="window start for restricted")
     p.add_argument("--theta", type=int, help="window end for restricted")
@@ -370,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gk)
 
     p = sub.add_parser("constants", help="theorem constants for a weight")
-    p.add_argument("--f", default="one", choices=["one", "identity", "square"])
+    p.add_argument("--f", default="one", choices=WEIGHT_KINDS)
     p.add_argument("--eta", type=int, default=1)
     p.add_argument("--theta", type=int, default=5)
     p.add_argument("--b", type=int, default=1)
@@ -380,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cannot_write(path: str, reason: str) -> int:
-    print(f"cfq: cannot write {path}: {reason}", file=sys.stderr)
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"cfq: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
     return 2
 
 
@@ -419,12 +412,12 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         regular = True
     except OSError as exc:
-        return _cannot_write(args.output, exc.strerror or str(exc))
+        return _cannot_write(args.output, exc)
     tmp = f"{args.output}.{os.getpid()}.tmp" if regular else None
     try:
         out = open(tmp, "x") if tmp else open(args.output, "w")
     except OSError as exc:
-        return _cannot_write(args.output, exc.strerror or str(exc))
+        return _cannot_write(args.output, exc)
     try:
         with out:
             code = _run(args, out)
@@ -432,7 +425,7 @@ def main(argv=None) -> int:
             os.replace(tmp, args.output)
         return code
     except OSError as exc:
-        return _cannot_write(args.output, exc.strerror or str(exc))
+        return _cannot_write(args.output, exc)
     finally:
         if tmp:
             with contextlib.suppress(FileNotFoundError):

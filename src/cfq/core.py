@@ -18,7 +18,8 @@ from itertools import chain, compress, starmap
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from .errors import InvalidFraction, InvalidWeight, InvalidWindow, LimitExceeded
+from .errors import (WEIGHT_KINDS, InvalidFraction, InvalidWeight,
+                     InvalidWindow, LimitExceeded)
 
 #: Denominators at or above this limit are rejected by the constructor so
 #: that downstream consumers can rely on products q_i * q_{i-1} staying well
@@ -213,11 +214,6 @@ class Window(Record):
         if theta is not None and theta < eta:
             raise InvalidWindow(f"need eta <= theta, got ({eta}, {theta})")
 
-    def contains(self, m: int) -> bool:
-        if m < self.eta:
-            return False
-        return self.theta is None or m <= self.theta
-
     def finite_theta(self) -> int:
         if self.theta is None:
             raise InvalidWindow("operation requires a finite upper cutoff")
@@ -236,7 +232,7 @@ class WeightFn(Record):
 
     def __init__(self, kind: str, table: Optional[Sequence[Rational]] = None,
                  table_start: int = 1):
-        if kind not in ("one", "identity", "square", "table"):
+        if kind not in (*WEIGHT_KINDS, "table"):
             raise InvalidWeight(f"unknown weight kind {kind!r}")
         if kind == "table":
             if not table:
@@ -328,10 +324,18 @@ def windowed_sum(digits: Sequence[int], f: WeightFn, eta: int,
     return total
 
 
+PI2 = math.pi ** 2  # in every main term of the paper's laws
+
+
+def gauss_mass(m: int) -> float:
+    """ln(1 + 1/(m (m+2))): ln 2 times the Gauss-Kuzmin mass of digit m."""
+    return math.log1p(1 / (m * (m + 2)))
+
+
 def digit_sum_center(N: int) -> float:
     """(12/pi^2) ln N ln ln N, the main term of S(a/N) over Z_N* (T1)."""
     logN = math.log(N)
-    return (12 / math.pi ** 2) * logN * math.log(logN)
+    return (12 / PI2) * logN * math.log(logN)
 
 
 def stat_sum(cf: ContinuedFraction) -> int:

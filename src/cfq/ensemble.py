@@ -28,17 +28,13 @@ from functools import cache
 from itertools import chain, compress
 from typing import TYPE_CHECKING, Optional
 
-from .core import (Record, WeightFn, Window, _prime_factors, _unit_blocks,
-                   alt_sum, cf_walk, count_in, windowed_sum)
-from .errors import (HISTOGRAM_LIMIT, SCAN_LIMIT, InvalidSpec, InvariantError,
-                     LimitExceeded)
+from .core import (PI2, Record, WeightFn, Window, _prime_factors,
+                   _unit_blocks, alt_sum, cf_walk, count_in, windowed_sum)
+from .errors import (HISTOGRAM_LIMIT, SCAN_LIMIT, STAT_KINDS, InvalidSpec,
+                     InvariantError, LimitExceeded)
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-PI2 = math.pi ** 2
-
-STAT_KINDS = ("S", "M", "L", "S_alt", "D", "restricted")
 
 
 class StatSpec(Record):
@@ -84,6 +80,14 @@ def euler_phi(N: int) -> int:
     for p in _prime_factors(N):
         result -= result // p
     return result
+
+
+def _visited_phi(walk: str, N: int, members: int) -> int:
+    """phi(N), after checking that walk visited phi(N) members."""
+    if members != (phi := euler_phi(N)):
+        raise InvariantError(f"{walk} visited {members} numerators, "
+                             f"phi({N}) = {phi}")
+    return phi
 
 
 class EnsembleSummary(Record):
@@ -313,9 +317,7 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
         for _, p in parts[1:]:
             for raw, v in p.items():
                 counts[raw] = counts.get(raw, 0) + v
-    phi = euler_phi(N)
-    if count != phi:
-        raise InvariantError(f"scan visited {count} numerators, phi({N}) = {phi}")
+    phi = _visited_phi("scan", N, count)
     # by position: a keyword build costs Record.__init__ a slice per field
     return EnsembleSummary(N, phi, spec, count, scale, sum_scaled,
                            sumsq_scaled, dict(zip(thresholds, tails)),
@@ -379,11 +381,8 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
     parts = _map_ranges(_digit_range, N, workers, m_max)
     counts = {m: sum(p[0][m] for p in parts) for m in range(1, m_max + 1)}
     last = {m: sum(p[1][m] for p in parts) for m in counts}
-    phi = euler_phi(N)
-    members = sum(sum(p[1]) for p in parts)  # one last digit each
-    if members != phi:
-        raise InvariantError(f"digit_histogram visited {members} numerators, "
-                             f"phi({N}) = {phi}")
+    phi = _visited_phi("digit_histogram", N,  # one last digit per member
+                       sum(sum(p[1]) for p in parts))
     norm = PI2 / (12 * math.log(2) * math.log(N))
     freq = {m: norm * counts[m] / phi for m in counts}
     interior = {m: norm * (counts[m] - last[m]) / phi for m in counts}

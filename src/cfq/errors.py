@@ -1,4 +1,4 @@
-"""Exception hierarchy and size limits shared by all cfq modules."""
+"""Exception hierarchy, size limits and kind names shared by cfq modules."""
 
 
 class CfqError(Exception):
@@ -49,8 +49,12 @@ class LimitExceeded(CfqError):
     """Input beyond the documented size limit of an operation."""
 
 
-# The size limits live here, beside the error they raise, so the CLI's help
-# text can quote them without loading the modules that enforce them.
+# The size limits and kind names live here, beside the errors they raise, so
+# the CLI's help and choices can quote them without loading their modules.
+
+#: The kinds of ensemble.StatSpec, and the built-in kinds of core.WeightFn.
+STAT_KINDS = ("S", "M", "L", "S_alt", "D", "restricted")
+WEIGHT_KINDS = ("one", "identity", "square")
 
 #: Largest N of scan and digit_histogram.  Their memory stays near one
 #: core.MARK_BLOCK table whatever N is (21 MB at N = 10^7), but their

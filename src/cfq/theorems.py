@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .core import Record, WeightFn, Window, digit_sum_center
-from .ensemble import PI2, StatSpec, hensley_limit, scan
+from .core import PI2, Record, WeightFn, Window, digit_sum_center, gauss_mass
+from .ensemble import StatSpec, hensley_limit, scan
 from .errors import HISTOGRAM_LIMIT, InvalidSpec, InvalidWindow, LimitExceeded
 
 
@@ -38,7 +38,7 @@ def constants(f: WeightFn, w: Window, b: int, c: int) -> TheoremConstants:
                             f"{HISTOGRAM_LIMIT} digits")
     f.validate_on(w)
     mu = mu_window(b, c)
-    A = (12 / PI2) * sum(float(f(m)) * math.log1p(1 / (m * (m + 2)))
+    A = (12 / PI2) * sum(float(f(m)) * gauss_mass(m)
                          for m in range(eta, theta + 1))
     B = A + float(f(theta)) / theta
     C = 5 * float(f(theta)) / B
@@ -58,8 +58,7 @@ def mu_window(b: int, c: int) -> float:
     if c - b + 1 > HISTOGRAM_LIMIT:
         raise LimitExceeded(f"window [{b}, {c}] has more than "
                             f"{HISTOGRAM_LIMIT} digits")
-    return (12 / PI2) * sum(math.log1p(1 / (m * (m + 2)))
-                            for m in range(b, c + 1))
+    return (12 / PI2) * sum(map(gauss_mass, range(b, c + 1)))
 
 
 def thm_harness(N: int, which: str, t_values: Optional[list] = None,

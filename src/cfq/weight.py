@@ -21,7 +21,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .core import (ReducedFraction, Rational, Record, WeightFn, Window,
-                   _units, cf_digits, convergents_of, windowed_sum)
+                   _units, cf_digits, convergents_of, gauss_mass,
+                   windowed_sum)
 from .errors import BadDigit, InvalidWindow, NotCoprime
 
 
@@ -227,8 +228,7 @@ def integral_row(k: int, f: WeightFn, w: Window) -> tuple[Fraction, float]:
             for m, fm in weights:  # fm times 1/((m Q + Q') ((m+1) Q + Q'))
                 terms.append((fm, (m * Q + Q1) * ((m + 1) * Q + Q1)))
     main = (2 * len(units) / k ** 2) * sum(
-        float(f(m)) * math.log1p(1 / (m * (m + 2)))
-        for m in range(w.eta, theta + 1))
+        float(f(m)) * gauss_mass(m) for m in range(w.eta, theta + 1))
     return _sum_terms(terms), main
 
 

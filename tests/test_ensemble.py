@@ -584,3 +584,16 @@ def test_moments_of_a_table_weight_are_floats():
     assert type(s.mean) is float and s.mean == float(s.exact_mean)
     assert type(s.variance) is float
     assert s.variance == float(s.exact_variance)
+
+
+@pytest.mark.parametrize("walk, run", [
+    ("scan", lambda: scan(101, StatSpec("S"))),
+    ("digit_histogram", lambda: digit_histogram(101, 3)),
+])
+def test_member_count_check_names_its_walk(monkeypatch, walk, run):
+    # scan and digit_histogram share one phi(N) member-count check, which
+    # still names the walk that failed it
+    monkeypatch.setattr(ensemble, "euler_phi", lambda N: 99)
+    with pytest.raises(InvariantError, match=rf"^{walk} visited 100 "
+                       r"numerators, phi\(101\) = 99$"):
+        run()

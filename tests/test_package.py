@@ -183,6 +183,60 @@ def test_tail_columns_are_labelled_in_one_place():
     assert mentions == [("cmd_scan", "JoinedStr"), ("build_parser", "keyword")]
 
 
+def test_cli_lists_no_kind_names():
+    # The statistic and weight kinds live in errors, and cli's choices read
+    # those tuples; the one list of kind names cli.py writes is the two
+    # minima that search --min-stat offers.
+    from cfq import ensemble, errors
+    assert ensemble.STAT_KINDS is errors.STAT_KINDS
+    kinds = set(errors.STAT_KINDS) | set(errors.WEIGHT_KINDS)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    lists = [[getattr(elt, "value", None) for elt in node.elts]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.List, ast.Tuple))
+             and kinds & {getattr(elt, "value", None) for elt in node.elts}]
+    assert lists == [["S", "M"]]
+
+
+def test_lazy_names_resolve_through_the_package_table():
+    # cli's stand-ins name only the function; the package's _EXPORTS table
+    # alone says which module defines it.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [on_call] = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_on_call"]
+    assert [a.arg for a in on_call.args.args] == ["name"]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_on_call"]
+    assert sorted(node.args[0].value for node in calls) == sorted(PROBED)
+    assert all(len(node.args) == 1 for node in calls)
+
+
+def _scoped(node, scope):
+    """(qualified scope, node) for each expression node under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scoped(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.expr):
+            yield scope, child
+        yield from _scoped(child, scope)
+
+
+def test_pi_squared_and_gauss_mass_are_written_once():
+    # core owns PI2 and gauss_mass, ln(1 + 1/(m (m+2))); the one other
+    # 1/(m (m+2)) is gk's pinned log2 target in digit_histogram.
+    def written(expression):
+        return sorted(scope for path in sorted((SRC / "cfq").glob("*.py"))
+                      for scope, node in _scoped(ast.parse(path.read_text()),
+                                                 path.stem)
+                      if re.fullmatch(expression, ast.unparse(node)))
+
+    assert written(r"math\.pi \*\* 2") == ["core"]
+    assert written(r"1 / \((\w+) \* \(\1 \+ 2\)\)") == [
+        "core.gauss_mass", "ensemble.digit_histogram"]
+
+
 def test_all_and_dir_list_the_public_names():
     names = {name for _, name in NAMES}
     assert set(cfq.__all__) == names

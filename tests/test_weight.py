@@ -409,7 +409,7 @@ def _windowed_row_at(a, N, k, f, w):
     for b in range(max(1, -((N - ak2) // Nk)), min(k, (ak2 + N) // Nk) + 1):
         if math.gcd(b, k) == 1:
             for m in _hits_at_fraction(b, k, a, N):
-                if w.contains(m):
+                if w.eta <= m and (w.theta is None or m <= w.theta):
                     total += f(m)
     return total
 
