@@ -4,9 +4,11 @@ Each command returns its format and an iterable of records (dicts), and
 _write alone turns them into output: a JSON object per line with sorted
 keys, exact rationals as "p/q" strings and floats as shortest round-trip
 decimals, or CSV under a header of the first record's keys, with the same
-floats.  Exit codes: 0 success, 2 usage error or output that cannot be
-written (including a reader that closes stdout early), 3 domain error,
-4 size limit exceeded.
+floats and, as RFC 4180 asks, a field that holds a comma quoted (the
+stat label L[1,2]).  Exit codes: 0 success, 2 usage error or output that
+cannot be written (including a reader that closes stdout early), 3 domain
+error (also a scan window option that its statistic does not read), 4
+size limit exceeded.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .errors import (DISCREPANCY_LIMIT, FAREY_LIMIT, HISTOGRAM_LIMIT,
 # command builds a Fraction, and json where _write prints JSON.
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .ensemble import StatSpec
 
 
 def _on_call(name: str):
@@ -64,6 +64,13 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _csv_field(value) -> str:
+    """value as a CSV field, quoted if it holds a comma (RFC 4180); no
+    field of a cfq record holds a quote or a line break."""
+    text = str(value)
+    return f'"{text}"' if "," in text else text
+
+
 def _write(out, fmt: str, records) -> None:
     """Write each record as it arrives, as a JSON line or a CSV row."""
     if fmt == "json":
@@ -74,8 +81,8 @@ def _write(out, fmt: str, records) -> None:
         return
     for i, rec in enumerate(records):
         if not i:
-            out.write(",".join(rec) + "\n")
-        out.write(",".join(map(str, rec.values())) + "\n")
+            out.write(",".join(map(_csv_field, rec)) + "\n")
+        out.write(",".join(map(_csv_field, rec.values())) + "\n")
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -152,17 +159,6 @@ def cmd_expand(args):
     }]
 
 
-def _spec_from_args(args) -> StatSpec:
-    from .core import WeightFn
-    from .ensemble import StatSpec
-    if args.stat == "L":
-        return StatSpec("L", b=args.b, c=args.c)
-    if args.stat == "restricted":
-        return StatSpec("restricted", f=WeightFn(args.f),
-                        eta=args.eta, theta=args.theta)
-    return StatSpec(args.stat)
-
-
 def _summary_record(summary, columns) -> dict:
     rec = {
         "N": summary.N,
@@ -195,7 +191,11 @@ def cmd_scan(args):
         raise LimitExceeded(f"scan capped at N = {SCAN_LIMIT} and at "
                             f"{SCAN_LIMIT} values of N")
     workers = _workers("scan", args)
-    spec = _spec_from_args(args)
+    from .core import WeightFn
+    from .ensemble import StatSpec
+    spec = StatSpec(args.stat, b=args.b, c=args.c,
+                    f=args.f and WeightFn(args.f), eta=args.eta,
+                    theta=args.theta)
     columns = sorted(zip(thresholds, labels))
     return args.format, (
         _summary_record(scan(N, spec, thresholds=thresholds, workers=workers),
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated tail thresholds (times ln N)")
     p.add_argument("--b", type=int, help="window start for --stat L")
     p.add_argument("--c", type=int, help="window end for --stat L")
-    p.add_argument("--f", default="one", choices=WEIGHT_KINDS,
+    p.add_argument("--f", choices=WEIGHT_KINDS,
                    help="weight for --stat restricted")
     p.add_argument("--eta", type=int, help="window start for restricted")
     p.add_argument("--theta", type=int, help="window end for restricted")

@@ -45,12 +45,14 @@ class Record:
     values form a tuple).  Record's __init__ binds its arguments, by
     position or keyword, to those fields; a record writes its own __init__
     only to validate its fields, storing them with object.__setattr__ and
-    then checking them.  Record adds the Name(field=value, ...) repr,
-    pickling and copying through __init__, and AttributeError on
-    assignment or deletion.  The records are plain slotted classes rather
-    than generated ones: importing the standard library's class generator
-    (which loads inspect) and building each class through exec cost about
-    25 ms of the start-up of every cfq command.
+    then checking them, or, when it derives fields from its arguments
+    (StatSpec, StepFn), binding them all through Record.__init__.  Record
+    adds the Name(field=value, ...) repr, pickling and copying through
+    __init__, and AttributeError on assignment or deletion.  The records
+    are plain slotted classes rather than generated ones: importing the
+    standard library's class generator (which loads inspect) and building
+    each class through exec cost about 25 ms of the start-up of every cfq
+    command.
     """
 
     __slots__ = ()

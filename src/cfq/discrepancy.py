@@ -192,23 +192,42 @@ def reduced_fraction_discrepancy(N: int, rng: IntervalQ) -> DiscrepancyReport:
     return extreme_discrepancy(PointSet.reduced_fractions(N), rng)
 
 
-#: Marks an invariant of a StepFn that is not yet computed.
-_UNSET = object()
+def _jump_variation(pieces, W: int, ws) -> Fraction:
+    """Total variation on [0, 1] of the step function of pieces, whose
+    values are ws / W, exact.
+
+    A step function with rational breakpoints c_0 = 0 < ... < c_K = 1
+    (the piece endpoints, 0 and 1) is constant on each open gap between
+    them, so it is the sequence of values at c_0, on (c_0, c_1), at
+    c_1, ..., at c_K.  A piece adds its value to a run of that sequence,
+    so one difference array over the sequence holds every jump, and
+    the variation is the sum of their absolute values.  Breakpoints
+    are scaled to integers by the lcm of their denominators.
+    """
+    L, E = _scaled([e for iv, _ in pieces for e in (iv.lo, iv.hi)])
+    # breakpoint j sits at position 2j, the gap after it at 2j + 1
+    at = {c: 2 * j for j, c in enumerate(sorted(set(E) | {0, L}))}
+    jumps = [0] * (len(at) * 2)
+    for (iv, _), w, lo, hi in zip(pieces, ws, E[::2], E[1::2]):
+        jumps[at[lo] + (not iv.lo_closed)] += w
+        jumps[at[hi] + iv.hi_closed] -= w
+    return Fraction(sum(map(abs, jumps[1:-1])), W)
 
 
-class StepFn:
+class StepFn(Record):
     """Rational step function given as (interval, value) pieces.
 
     Pieces may overlap; the value at a point is the sum over pieces that
     contain it.  This matches how the digit-counting weight is built from
     its two interval families.
 
-    A StepFn is immutable, so each invariant (integral, support,
-    variation, the values scaled to integers) is computed on its first
-    use and kept.
+    A StepFn is built from its pieces alone, and __init__ computes its
+    invariants as fields: the integral, the support, the variation, and
+    _scaled, (W, the piece values times W) with W the lcm of their
+    denominators.
     """
 
-    __slots__ = ("pieces", "_integral", "_support", "_variation", "_values")
+    __slots__ = ("pieces", "_integral", "_support", "_variation", "_scaled")
 
     def __init__(self, pieces: Iterable[tuple[IntervalQ, Rational]]):
         checked = []
@@ -218,18 +237,18 @@ class StepFn:
             if iv.lo < 0 or iv.hi > 1:
                 raise BadSpec(f"piece {iv} not within [0, 1]")
             checked.append((iv, Fraction(v)))
-        object.__setattr__(self, "pieces", tuple(checked))
-        for name in self.__slots__[1:]:
-            object.__setattr__(self, name, _UNSET)
-
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
+        pieces = tuple(checked)
+        W, ws = _scaled([v for _, v in pieces])
+        live = [iv for iv, v in pieces if v != 0]
+        super().__init__(
+            pieces,
+            sum((v * iv.measure for iv, v in pieces), start=Fraction(0)),
+            IntervalQ(min(iv.lo for iv in live), max(iv.hi for iv in live),
+                      True, True) if live else None,
+            _jump_variation(pieces, W, ws), (W, tuple(ws)))
 
     def __reduce__(self):
         return type(self), (self.pieces,)
-
-    def _keep(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
@@ -237,10 +256,6 @@ class StepFn:
                    start=Fraction(0))
 
     def integral(self) -> Fraction:
-        if self._integral is _UNSET:
-            total = sum((v * iv.measure for iv, v in self.pieces),
-                        start=Fraction(0))
-            self._keep("_integral", total)
         return self._integral
 
     def support(self) -> IntervalQ | None:
@@ -249,43 +264,10 @@ class StepFn:
         The function vanishes outside it.  Pieces of nonzero values may
         still cancel, so the function need not be nonzero at its ends.
         """
-        if self._support is _UNSET:
-            live = [iv for iv, v in self.pieces if v != 0]
-            hull = (IntervalQ(min(iv.lo for iv in live),
-                              max(iv.hi for iv in live), True, True)
-                    if live else None)
-            self._keep("_support", hull)
         return self._support
 
-    def _scaled(self) -> tuple[int, list[int]]:
-        """(W, [v * W for each piece value v]), W the lcm of their
-        denominators."""
-        if self._values is _UNSET:
-            self._keep("_values", _scaled([v for _, v in self.pieces]))
-        return self._values
-
     def variation(self) -> Fraction:
-        """Total variation on [0, 1], exact.
-
-        A step function with rational breakpoints c_0 = 0 < ... < c_K = 1
-        (the piece endpoints, 0 and 1) is constant on each open gap between
-        them, so it is the sequence of values at c_0, on (c_0, c_1), at
-        c_1, ..., at c_K.  A piece adds its value to a run of that sequence,
-        so one difference array over the sequence holds every jump, and
-        the variation is the sum of their absolute values.  Breakpoints
-        and values are scaled to integers by the lcm of their denominators.
-        """
-        if self._variation is _UNSET:
-            L, E = _scaled([e for iv, _ in self.pieces
-                            for e in (iv.lo, iv.hi)])
-            W, ws = self._scaled()
-            # breakpoint j sits at position 2j, the gap after it at 2j + 1
-            at = {c: 2 * j for j, c in enumerate(sorted(set(E) | {0, L}))}
-            jumps = [0] * (len(at) * 2)
-            for (iv, _), w, lo, hi in zip(self.pieces, ws, E[::2], E[1::2]):
-                jumps[at[lo] + (not iv.lo_closed)] += w
-                jumps[at[hi] + iv.hi_closed] -= w
-            self._keep("_variation", Fraction(sum(map(abs, jumps[1:-1])), W))
+        """Total variation on [0, 1], exact (see _jump_variation)."""
         return self._variation
 
 
@@ -303,7 +285,7 @@ def koksma_check(g: StepFn, ps: PointSet) -> bool:
     supp = g.support()
     # g summed over the points, piece by piece: value times points held,
     # in integers over the lcm W of the values
-    W, ws = g._scaled()
+    W, ws = g._scaled
     mean = Fraction(sum(w * ps.count(iv) for (iv, _), w in zip(g.pieces, ws)),
                     W * M)
     lhs = abs(mean - g.integral())

@@ -38,29 +38,33 @@ if TYPE_CHECKING:
 
 
 class StatSpec(Record):
-    """Statistic selector: S, M, L (needs b, c), S_alt, D, or restricted
-    (needs f, eta, theta)."""
+    """Statistic selector: S, M, S_alt and D read no parameter, L reads b
+    and c, and restricted reads f (one unless given), eta and theta.  A
+    parameter that the kind does not read must be None."""
 
     __slots__ = ("kind", "b", "c", "f", "eta", "theta")
+
+    #: The parameters each kind reads; an unlisted kind reads none.
+    _READS = {"L": ("b", "c"), "restricted": ("f", "eta", "theta")}
 
     def __init__(self, kind: str, b: Optional[int] = None,
                  c: Optional[int] = None, f: Optional[WeightFn] = None,
                  eta: Optional[int] = None,
                  theta: Optional[int] = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "theta", theta)
+        if kind == "restricted" and f is None:
+            f = WeightFn.one()
+        super().__init__(kind, b, c, f, eta, theta)
         if kind not in STAT_KINDS:
             raise InvalidSpec(f"unknown statistic {kind!r}")
-        if kind == "L":
-            if b is None or c is None or b < 1 or b > c:
-                raise InvalidSpec(f"L needs 1 <= b <= c, got ({b}, {c})")
+        reads = self._READS.get(kind, ())
+        if unread := [name for name in self.__slots__[1:] if name not in reads
+                      and getattr(self, name) is not None]:
+            raise InvalidSpec(f"{kind} takes no {', '.join(unread)}")
+        if kind == "L" and (b is None or c is None or b < 1 or b > c):
+            raise InvalidSpec(f"L needs 1 <= b <= c, got ({b}, {c})")
         if kind == "restricted":
-            if f is None or eta is None:
-                raise InvalidSpec("restricted needs a weight and a window")
+            if eta is None:
+                raise InvalidSpec("restricted needs eta")
             Window(eta, theta)
 
     def label(self) -> str:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import gc
 import hashlib
 import io
@@ -127,10 +128,10 @@ PINNED = {
         '"variance": 0.12107438016528925}\n',
     "scan --range 5 8 --stat L --b 1 --c 2 --format csv":
         "N,phi,stat,mean,variance\n"
-        "5,4,L[1,2],1.5,1.25\n"
-        "6,2,L[1,2],0.5,0.25\n"
-        "7,6,L[1,2],1.3333333333333333,0.8888888888888888\n"
-        "8,4,L[1,2],2.0,2.5\n",
+        '5,4,"L[1,2]",1.5,1.25\n'
+        '6,2,"L[1,2]",0.5,0.25\n'
+        '7,6,"L[1,2]",1.3333333333333333,0.8888888888888888\n'
+        '8,4,"L[1,2]",2.0,2.5\n',
     "search --range 2 8 --min-stat S":
         "N,argmin,min,bound,margin\n"
         "2,1,2,inf,-inf\n"
@@ -371,6 +372,50 @@ def test_bad_input_exit_codes(capsys, argv, code, message):
     assert got == code
     assert out.out == ""
     assert message in out.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "101", "--b", "0", "--eta", "-5", "--f", "square"],
+     "S takes no b, f, eta"),
+    (["scan", "101", "--stat", "M", "--c", "2"], "M takes no c"),
+    (["scan", "101", "--stat", "S_alt", "--theta", "3"],
+     "S_alt takes no theta"),
+    (["scan", "--range", "3", "5", "--stat", "D", "--f", "one", "--format",
+      "csv"], "D takes no f"),
+    (["scan", "101", "--stat", "L", "--b", "1", "--c", "2", "--eta", "1"],
+     "L takes no eta"),
+    (["scan", "101", "--stat", "restricted", "--eta", "2", "--c", "9"],
+     "restricted takes no c"),
+])
+def test_scan_refuses_window_options_its_statistic_does_not_read(
+        tmp_path, capsys, argv, message):
+    # A window option is checked only by the statistic that reads it, so
+    # given for another one it is refused, whatever its value.
+    assert run(capsys, *argv) == (3, "", f"cfq: {message}\n")
+    path = tmp_path / "out.txt"
+    path.write_text("earlier\n")
+    assert run(capsys, "-o", str(path), *argv) == (3, "",
+                                                   f"cfq: {message}\n")
+    assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("stat, window", [
+    ("S", []), ("M", []), ("L", ["--b", "1", "--c", "2"]), ("S_alt", []),
+    ("D", []), ("restricted", ["--eta", "2", "--theta", "5"]),
+    ("restricted", ["--eta", "1", "--f", "square"]),
+])
+def test_scan_csv_rows_have_the_header_fields(capsys, stat, window):
+    argv = ["scan", "--range", "5", "9", "--stat", stat, *window, "--t", "1"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["N", "phi", "stat", "mean", "variance", "tail@1"]
+    assert len(rows) == 5 and all(len(row) == len(header) for row in rows)
+    # the stat field reads back as the label the JSON record gives
+    code, out, _ = run(capsys, *argv)
+    assert [row[2] for row in rows] == [json.loads(line)["stat"]
+                                        for line in out.splitlines()]
 
 
 @pytest.mark.parametrize("error, code", [

@@ -4,20 +4,22 @@ Each example draws a subcommand of build_parser() and, for each of its
 options, a value or none.  Every value is tagged: VALID lies in the
 documented domain; BAD lies outside it (0, negatives, nan, inf, 1/0, empty
 strings, repeated thresholds, reversed ranges, unknown choices, a missing
--o directory); OVER is just above a size limit of cfq.errors or
-core.MAX_DENOMINATOR.  Valid sizes stay small (N at most 2000, --workers 1
-or 2), so no example does real work, and a value over a limit is refused
-before any work is done.  main runs in-process and must:
+-o directory, a scan window option that its statistic does not read);
+OVER is just above a size limit of cfq.errors or core.MAX_DENOMINATOR.
+Valid sizes stay small (N at most 2000, --workers 1 or 2), so no example
+does real work, and a value over a limit is refused before any work is
+done.  main runs in-process and must:
 - exit 0, 2, 3 or 4, with no exception other than SystemExit escaping;
 - on a non-zero exit, write nothing to stdout and leave -o FILE as it was;
 - on exit 0, write at least one line, and only JSON objects if the first
-  line is one;
+  line is one, else CSV rows with as many fields as their header;
 - not exit 0 when a value is BAD or OVER, nor exit 4 when all are VALID;
 - exit 2 or 4 when a value is OVER and none is BAD.
 """
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -32,7 +34,7 @@ from hypothesis import example, given, settings, strategies as st
 from cfq import cli
 from cfq.core import MAX_DENOMINATOR
 from cfq.errors import (DISCREPANCY_LIMIT, FAREY_LIMIT, HISTOGRAM_LIMIT,
-                        SCAN_LIMIT, SEARCH_LIMIT)
+                        SCAN_LIMIT, SEARCH_LIMIT, STAT_KINDS, WEIGHT_KINDS)
 
 VALID, BAD, OVER = "valid", "bad", "over"
 
@@ -158,17 +160,40 @@ THRESHOLDS = (("", "2", "1,2", "-1", "0", "4,1,2", "0.5,-0.5"),
                "1,,2"))
 
 
+#: The window options of scan that each statistic reads; S, M, S_alt and
+#: D read none.
+READS = {"L": ("b", "c"), "restricted": ("f", "eta", "theta")}
+
+
+def _statistic(draw):
+    """--stat of scan, left at its default S or not, and its window
+    options, each given or not.  A window option given for a statistic
+    that does not read it is BAD, whatever its value.  A window end is
+    checked only by its statistic, so any integer end is VALID."""
+    [stat], tags = _token(draw, (None, *STAT_KINDS), ("bogus", ""))
+    tokens = [] if stat is None else [f"--stat={stat}"]
+    reads = READS.get(stat or "S", ())
+    for dest in ("b", "c", "f", "eta", "theta"):
+        # given in 4 of 6 draws if stat reads it, else in 1 of 6
+        if draw(st.integers(0, 5)) >= (4 if dest in reads else 1):
+            continue
+        [value], more = (_token(draw, WEIGHT_KINDS, ("bogus", ""))
+                         if dest == "f" else
+                         _token(draw, ("-7", "0", "1", "2", "12"),
+                                HOSTILE[1]))
+        tokens.append(f"--{dest}={value}")
+        tags |= more if dest in reads else {BAD}
+    return tokens, tags
+
+
 #: The values of each option that is not a choice or --workers, by command
-#: and the dests it fills.  The window ends of scan only count for their
-#: statistic, so any integer is VALID there.
+#: and the dests it fills.
 SLOTS = {
     "expand": {("N", "a"): _fraction},
     "dedekind": {("N", "a"): _fraction},
     "scan": {("N", "range"): _target,
              ("t",): lambda d: _token(d, *THRESHOLDS),
-             **{(dest,): lambda d: _token(d, ("-7", "0", "1", "2", "12"),
-                                          HOSTILE[1])
-                for dest in ("b", "c", "eta", "theta")}},
+             ("stat", "b", "c", "f", "eta", "theta"): _statistic},
     "discrepancy": {("N",): lambda d: _size(d, 2, 300, DISCREPANCY_LIMIT),
                     ("lo", "hi"): _ends},
     "search": {("range",): lambda d: _pair(d, 2, 40, SEARCH_LIMIT),
@@ -241,7 +266,8 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# Past defects, each once ended in exit 0, a traceback or the wrong code.
+# Past defects, each once ended in exit 0, a traceback, the wrong code or
+# CSV rows with more fields than their header.
 @example(case=(["gk", "100", "--max-digit=-3"], {BAD}), output=None)
 @example(case=(["gk", "100", "--max-digit=0"], {BAD}), output=None)
 @example(case=(["scan", "--range", "5", "3"], {BAD}), output="file")
@@ -253,6 +279,14 @@ def _main(argv):
 @example(case=(["expand", "10", "4"], {BAD}), output="file")
 @example(case=(["discrepancy", "7", f"--lo=1/{10 ** 3999 + 9}",
                 f"--hi=1/{10 ** 3999 + 7}"], {OVER}), output="file")
+@example(case=(["scan", "101", "--b=0", "--eta=-5", "--f=square"], {BAD}),
+         output="file")
+@example(case=(["scan", "101", "--stat=L", "--b=1", "--c=2", "--theta=3"],
+                {BAD}), output=None)
+@example(case=(["scan", "7", "--stat=restricted", "--eta=2", "--c=9"],
+                {BAD}), output=None)
+@example(case=(["scan", "--range", "5", "7", "--stat=L", "--b=1", "--c=2",
+                "--format=csv"], {VALID}), output=None)
 @settings(max_examples=300, deadline=None)
 @given(case=_cases(), output=st.sampled_from([None] * 4 + ["file"] * 3
                                               + ["missing"]))
@@ -280,6 +314,9 @@ def test_cli_exits_cleanly_on_drawn_argv(case, output):
         if text.startswith("{"):
             assert all(isinstance(json.loads(line), dict)
                        for line in text.splitlines())
+        else:
+            header, *rows = csv.reader(io.StringIO(text))
+            assert all(len(row) == len(header) for row in rows), text
     if tags & {BAD, OVER}:
         assert code != 0, argv
     else:

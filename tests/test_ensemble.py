@@ -36,6 +36,15 @@ def test_spec_validation():
         StatSpec("L", b=3, c=1)
     with pytest.raises(InvalidSpec):
         StatSpec("restricted")
+    # a parameter the kind does not read is refused, whatever its value
+    for kind, extra in [("S", {"b": 1}), ("D", {"theta": 3}),
+                        ("L", {"b": 1, "c": 2, "eta": 1}),
+                        ("restricted", {"eta": 1, "c": 5})]:
+        with pytest.raises(InvalidSpec, match=f"^{kind} takes no"):
+            StatSpec(kind, **extra)
+    # restricted weighs by one unless told otherwise
+    assert StatSpec("restricted", eta=2) == StatSpec(
+        "restricted", f=WeightFn.one(), eta=2)
 
 
 def test_scan_hand_examples():

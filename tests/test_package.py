@@ -237,6 +237,33 @@ def test_pi_squared_and_gauss_mass_are_written_once():
         "core.gauss_mass", "ensemble.digit_histogram"]
 
 
+def test_every_slotted_class_is_a_record():
+    # A class that names its fields in __slots__ is a core.Record, built
+    # whole through Record.__init__, so none writes to itself once built.
+    from cfq.core import Record
+    slotted = [(path.stem, node.name)
+               for path in sorted((SRC / "cfq").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(stmt, ast.Assign)
+                       and "__slots__" in map(ast.unparse, stmt.targets)
+                       for stmt in node.body)]
+    assert ("discrepancy", "StepFn") in slotted
+    assert [(module, name) for module, name in slotted
+            if not issubclass(getattr(importlib.import_module(
+                f"cfq.{module}"), name), Record)] == []
+
+
+def test_cli_builds_the_scan_spec_in_one_call():
+    # scan hands every window option to one StatSpec call, which refuses
+    # those its statistic does not read.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [call] = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "StatSpec"]
+    assert {kw.arg for kw in call.keywords} == {"b", "c", "f", "eta",
+                                                "theta"}
+
+
 def test_all_and_dir_list_the_public_names():
     names = {name for _, name in NAMES}
     assert set(cfq.__all__) == names

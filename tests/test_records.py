@@ -15,9 +15,9 @@ import pytest
 import cfq
 from cfq.core import (ContinuedFraction, Record, ReducedFraction, WeightFn,
                       Window)
-from cfq.discrepancy import DiscrepancyReport, PointSet
+from cfq.discrepancy import DiscrepancyReport, PointSet, StepFn
 from cfq.ensemble import EnsembleSummary, StatSpec
-from cfq.errors import (BadRange, InvalidFraction, InvalidSpec,
+from cfq.errors import (BadRange, BadSpec, InvalidFraction, InvalidSpec,
                         InvalidWeight, InvalidWindow, LimitExceeded)
 from cfq.farey import VardiReport
 from cfq.reflect import ReflectionRecord
@@ -52,7 +52,8 @@ RECORDS = {
     StatSpec: (
         ("kind", "b", "c", "f", "eta", "theta"), ("L", 1, 3),
         [(("X",), InvalidSpec), (("L", 3, 1), InvalidSpec),
-         (("restricted",), InvalidSpec),
+         (("restricted",), InvalidSpec), (("S", 1), InvalidSpec),
+         (("L", 1, 2, WeightFn.one()), InvalidSpec),
          (("restricted", None, None, WeightFn.one(), 3, 2), InvalidWindow)],
         (("S",), dict.fromkeys(("b", "c", "f", "eta", "theta")))),
     EnsembleSummary: (
@@ -67,6 +68,13 @@ RECORDS = {
         ("scale", "values"), (7, (1, 2, 3)),
         [((0, ()), BadRange), ((7, (3, 1)), BadRange),
          ((7, (1, 8)), BadRange)], None),
+    StepFn: (
+        ("pieces", "_integral", "_support", "_variation", "_scaled"),
+        (((IntervalQ(Fraction(1, 4), Fraction(1, 2), True, False),
+           Fraction(2, 3)),),),
+        [(([(IntervalQ(Fraction(1, 2), Fraction(3, 2), True, True), 1)],),
+          BadSpec),
+         (([((Fraction(0), Fraction(1)), 1)],), BadSpec)], None),
     DiscrepancyReport: (
         ("value", "witness"),
         (Fraction(1, 7), IntervalQ(Fraction(0), Fraction(1, 7), True, False)),
@@ -152,14 +160,15 @@ def _record_classes():
 
 def test_only_validating_records_write_their_own_constructor():
     # Record's generic __init__ builds every record; a record writes its
-    # own only to validate its fields, and RECORDS then tests a bad case
+    # own only to validate its fields (StepFn also computes its invariants
+    # there), and RECORDS then tests a bad case
     classes = _record_classes()
     assert set(classes) == set(RECORDS)
     own = {cls for cls in classes if "__init__" in vars(cls)}
     assert sorted(cls.__name__ for cls in own if not RECORDS[cls][2]) == []
     assert {cls.__name__ for cls in own} == {
         "ReducedFraction", "Window", "WeightFn", "StatSpec", "IntervalQ",
-        "PointSet"}
+        "PointSet", "StepFn"}
 
 
 def test_generic_constructor_binds_every_field_once():
