@@ -32,9 +32,9 @@ class PointSet(Record):
 
     __slots__ = ("scale", "values")
 
-    def __init__(self, scale: int, values: tuple[int, ...]) -> None:
+    def __init__(self, scale: int, values: Iterable[int]) -> None:
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", values := tuple(values))
         if scale < 1 or list(values) != sorted(values):
             raise BadRange("need scale >= 1 and sorted values")
         if values and not 0 <= values[0] <= values[-1] <= scale:
@@ -111,18 +111,21 @@ def star_discrepancy(ps: PointSet) -> DiscrepancyReport:
 def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
     """Sup over all subintervals I of rng of |count(I)/M - measure(I)|.
 
-    Two sweeps.  The excess side is maximized by a closed interval whose
-    endpoints are point values inside rng; writing the objective as
-    (C(<=v_j)/M - v_j) + (v_i - C(<v_i)/M) splits it into independent
-    endpoint terms, so a prefix-max pass finds the best pair.  The deficit
-    side is maximized by an open interval with endpoints among the point
-    values and the range endpoints, split the same way.
+    One pass over the levels: lo, each distinct point value strictly
+    inside rng, and hi.  The objective splits into independent endpoint
+    terms, x = v M - #(V < v) L and y = #(V <= v) L - v M at scale M * L,
+    so each level computes both once and is scored against the best low
+    end seen so far.  The excess side is a closed [u, v], u <= v, over
+    point values inside rng: a low-end x plus a high-end y.  The deficit
+    side is an open (u, v), u < v, over the levels: a low-end y plus a
+    high-end x.  Each side keeps its first best pair, and the excess wins
+    a tie.
 
-    Both sweeps score their terms at scale M * L (see the module
-    docstring).  The counts come from one pass over the sorted numerators,
-    so the cost is O(M).  Rescaled, the M numerators take about
-    M * L.bit_length() bits; above DISCREPANCY_LIMIT * 64 this raises
-    LimitExceeded before any is rescaled.
+    The terms are exact at scale M * L (see the module docstring).  The
+    counts come from one pass over the sorted numerators, so the cost is
+    O(M).  Rescaled, the M numerators take about M * L.bit_length() bits;
+    above DISCREPANCY_LIMIT * 64 this raises LimitExceeded before any is
+    rescaled.
     """
     M = len(ps)
     if M == 0:
@@ -149,39 +152,27 @@ def extreme_discrepancy(ps: PointSet, rng: IntervalQ) -> DiscrepancyReport:
         if n + 1 == j or V[n + 1] != V[n]:
             levels.append((V[n], levels[-1][2], n + 1))
     levels.append((hi, levels[-1][2], bisect_right(V, hi)))
-    best = -M * L
-    witness = None
-
-    # excess: closed [v_i, v_j], i <= j, over point values inside rng
-    best_b = -10 * M * L
-    best_lo = None
+    # low ends start below any real pair: their placeholder lo never wins
+    low_x = low_y = -10 * M * L
+    at_x = at_y = lo
+    ex = de = -M * L
+    ex_at = de_at = None
     for v, lt, le in levels:
-        if lt == le or (v == lo and not rng.lo_closed) or (
-                v == hi and not rng.hi_closed):
-            continue
-        b = v * M - lt * L
-        if b > best_b:
-            best_b, best_lo = b, v
-        a = le * L - v * M
-        if a + best_b > best:
-            best = a + best_b
-            witness = (best_lo, v, True)
-
-    # deficit: open (lo, hi)
-    best_d = -10 * M * L
-    best_lo = None
-    for v, lt, le in levels:
-        # the open interval needs lo < hi, so score hi = v against the best
-        # lo seen strictly earlier before admitting v as a lo candidate
-        if best_lo is not None:
-            e = v * M - lt * L
-            if e + best_d > best:
-                best = e + best_d
-                witness = (best_lo, v, False)
-        d = le * L - v * M
-        if d > best_d:
-            best_d, best_lo = d, v
-    w_lo, w_hi, closed = witness
+        x, y = v * M - lt * L, le * L - v * M
+        # deficit: score v as a high end before admitting it as a low end
+        if x + low_y > de:
+            de, de_at = x + low_y, (at_y, v)
+        if y > low_y:
+            low_y, at_y = y, v
+        # excess: only point values inside rng are ends
+        if lt < le and (v != lo or rng.lo_closed) and (
+                v != hi or rng.hi_closed):
+            if x > low_x:
+                low_x, at_x = x, v
+            if y + low_x > ex:
+                ex, ex_at = y + low_x, (at_x, v)
+    closed = ex >= de  # the excess wins a tie
+    best, (w_lo, w_hi) = (ex, ex_at) if closed else (de, de_at)
     return DiscrepancyReport(Fraction(best, M * L),
                              IntervalQ(Fraction(w_lo, L), Fraction(w_hi, L),
                                        closed, closed))

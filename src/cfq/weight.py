@@ -228,7 +228,7 @@ def integral_row(k: int, f: WeightFn, w: Window) -> tuple[Fraction, float]:
             for m, fm in weights:  # fm times 1/((m Q + Q') ((m+1) Q + Q'))
                 terms.append((fm, (m * Q + Q1) * ((m + 1) * Q + Q1)))
     main = (2 * len(units) / k ** 2) * sum(
-        float(f(m)) * gauss_mass(m) for m in range(w.eta, theta + 1))
+        float(fm) * gauss_mass(m) for m, fm in weights)
     return _sum_terms(terms), main
 
 

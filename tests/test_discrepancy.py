@@ -1,5 +1,7 @@
+import ast
 import bisect
 import copy
+import inspect
 import itertools
 import math
 import pickle
@@ -133,6 +135,28 @@ def test_sweep_matches_brute_force():
         assert rep.value <= full
         star = star_discrepancy(pts).value
         assert star <= full <= 2 * star
+
+
+def test_extreme_sweep_reads_its_levels_once():
+    # both sides are scored in one pass over the levels
+    tree = ast.parse(inspect.getsource(extreme_discrepancy))
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Name) and node.iter.id == "levels"]
+    assert len(loops) == 1
+
+
+def test_pointset_values_are_a_tuple():
+    made = [PointSet(7, [1, 2, 2, 5]), PointSet(7, (1, 2, 2, 5)),
+            PointSet(7, iter((1, 2, 2, 5)))]
+    for ps in made:
+        assert ps.values == (1, 2, 2, 5) and ps == made[0]
+        assert hash(ps) == hash(made[0])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(ps, protocol)) == made[0]
+    with pytest.raises(BadRange):
+        PointSet(7, iter((3, 1)))
+    with pytest.raises(BadRange):
+        PointSet(7, iter((1, 8)))
 
 
 def test_reduced_fraction_examples():
