@@ -6,9 +6,10 @@ keys, exact rationals as "p/q" strings and floats as shortest round-trip
 decimals, or CSV under a header of the first record's keys, with the same
 floats and, as RFC 4180 asks, a field that holds a comma quoted (the
 stat label L[1,2]).  Exit codes: 0 success, 2 usage error or output that
-cannot be written (including a reader that closes stdout early), 3 domain
-error (also a scan window option that its statistic does not read), 4
-size limit exceeded.
+cannot be written (including a reader that closes stdout early) or an
+option that the mode does not read (search --min-stat with --zaremba,
+farey --t with --law vardi), 3 domain error (also a scan window option
+that its statistic does not read), 4 size limit exceeded.
 """
 
 from __future__ import annotations
@@ -234,6 +235,8 @@ def cmd_search(args):
     _check_range("search", args.range)
     lo, hi = args.range
     if args.zaremba is not None:
+        if args.min_stat is not None:
+            _usage_error("search: --min-stat does not apply to --zaremba")
         bad = zaremba_scan(lo, hi, args.zaremba)
         return "json", [{"K": args.zaremba, "range": [lo, hi],
                          "without_witness": bad}]
@@ -249,13 +252,15 @@ def cmd_search(args):
 
 def cmd_farey(args):
     if args.law == "vardi":
+        if args.t is not None:
+            _usage_error("farey: --t does not apply to --law vardi")
         r = vardi_sample(args.Q)
         rec = {k: getattr(r, k) for k in r.__slots__}
     else:
         law, second = ((hensley_tail, "limit") if args.law == "hensley"
                        else (bd_tail, "t_times_fraction"))
-        rec = {"Q": args.Q, "t": args.t}
-        rec["fraction"], rec[second] = law(args.Q, args.t)
+        rec = {"Q": args.Q, "t": 2.0 if args.t is None else args.t}
+        rec["fraction"], rec[second] = law(args.Q, rec["t"])
     rec["law"] = args.law
     return "json", [rec]
 
@@ -339,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search",
                        help="extremal fractions; CSV columns N, argmin, min, "
                             "bound, margin")
-    p.add_argument("--min-stat", default="M", choices=["S", "M"])
+    p.add_argument("--min-stat", choices=["S", "M"])
     p.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
                    required=True, help=f"2 <= LO <= HI <= {SEARCH_LIMIT}")
     p.add_argument("--zaremba", type=int, metavar="K",
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("Q", type=int, help=f"Farey order, at most {FAREY_LIMIT}")
     p.add_argument("--law", default="hensley",
                    choices=["hensley", "vardi", "bd"])
-    p.add_argument("--t", type=finite_float, default=2.0)
+    p.add_argument("--t", type=finite_float)
     p.set_defaults(func=cmd_farey)
 
     p = sub.add_parser("gk",

@@ -7,14 +7,15 @@ full Euclid walk: it yields the digits together with q_{r-1}, the
 next-to-last convergent denominator, which fixes the digit-reversed
 partner a* and the Dedekind sum.  cf_digits is its digit list; every
 statistic of the whole expansion is a fold of that list (sum, max,
-count_in, alt_sum, windowed_sum).  _units is the one enumeration of Z_N*,
-a prime-factor sieve (_unit_blocks) that takes no gcd per numerator.
+count_in, alt_sum, windowed_sum).  _units is the one enumeration of Z_N*:
+one prime-factor sieve table per range (_unit_table), with no gcd per
+numerator.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, starmap
+from itertools import compress
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
@@ -25,10 +26,6 @@ from .errors import (WEIGHT_KINDS, InvalidFraction, InvalidWeight,
 #: that downstream consumers can rely on products q_i * q_{i-1} staying well
 #: inside machine-word range in any 128-bit backend they may hand data to.
 MAX_DENOMINATOR = 1 << 62
-
-#: Numerators per block of a Z_N* enumeration: each block is one table of
-#: this many bytes, so memory stays bounded whatever N is.
-MARK_BLOCK = 1 << 22
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -132,22 +129,19 @@ def _prime_factors(N: int) -> list[int]:
     return primes
 
 
-def _unit_blocks(N: int, lo: int, hi: int):
-    """(block, table) for each block of MARK_BLOCK numerators in [lo, hi):
-    table[i] is 1 when block[i] is prime to N, else 0."""
-    primes = _prime_factors(N)
-    for start in range(lo, hi, MARK_BLOCK):
-        block = range(start, min(start + MARK_BLOCK, hi))
-        table = bytearray(b"\1") * len(block)
-        for p in primes:
-            multiples = range(-start % p, len(block), p)
-            table[multiples.start::p] = bytes(len(multiples))
-        yield block, table
+def _unit_table(N: int, lo: int, hi: int) -> bytearray:
+    """One byte per numerator of [lo, hi): table[a - lo] is 1 when a is
+    prime to N, else 0."""
+    table = bytearray(b"\1") * (hi - lo)  # empty when hi <= lo
+    for p in _prime_factors(N):
+        multiples = range(-lo % p, len(table), p)
+        table[multiples.start::p] = bytes(len(multiples))
+    return table
 
 
 def _units(N: int, lo: int, hi: int):
     """The numerators in [lo, hi) prime to N, ascending: Z_N* for [1, N)."""
-    return chain.from_iterable(starmap(compress, _unit_blocks(N, lo, hi)))
+    return compress(range(lo, hi), _unit_table(N, lo, hi))
 
 
 def cf_walk(a: int, N: int) -> tuple[list[int], int]:
@@ -284,11 +278,10 @@ class WeightFn(Record):
         return self.table[idx]
 
     def validate_on(self, window: Window, max_digit: Optional[int] = None) -> None:
-        """Check non-negativity/monotonicity on the window (raises InvalidWeight).
-
-        For windows without an upper cutoff the built-ins are monotone by
-        construction; a tabulated weight must cover the window up to
-        max_digit (the largest digit that can occur, i.e. N).
+        """Check that a tabulated weight covers the window, up to max_digit
+        (the largest digit that can occur, i.e. N) when theta is None;
+        raises InvalidWeight.  A built-in covers every digit, and __init__
+        has checked a table's non-negativity and monotonicity.
         """
         if self.kind != "table":
             return

@@ -29,7 +29,7 @@ from itertools import chain, compress
 from typing import TYPE_CHECKING, Optional
 
 from .core import (PI2, Record, WeightFn, Window, _prime_factors,
-                   _unit_blocks, alt_sum, cf_walk, count_in, windowed_sum)
+                   _unit_table, alt_sum, cf_walk, count_in, windowed_sum)
 from .errors import (HISTOGRAM_LIMIT, SCAN_LIMIT, STAT_KINDS, InvalidSpec,
                      InvariantError, LimitExceeded)
 
@@ -144,14 +144,14 @@ class EnsembleSummary(Record):
         return {Fraction(raw, self.scale): v for raw, v in self.counts.items()}
 
 
-def _partition(N: int, workers: int, cpus: int) -> tuple[list, int]:
-    """(ranges, processes) for splitting [1, N-1] among workers.
+def _partition(stop: int, workers: int, cpus: int) -> tuple[list, int]:
+    """(ranges, processes) for splitting [1, stop) among workers.
 
-    The ranges are min(workers, N-1) contiguous, non-empty [lo, hi) pieces;
+    The ranges are min(workers, stop-1) contiguous, non-empty [lo, hi) pieces;
     they run on at most `cpus` processes.
     """
-    workers = max(1, min(workers, N - 1))
-    bounds = [1 + (N - 1) * i // workers for i in range(workers + 1)]
+    workers = max(1, min(workers, stop - 1))
+    bounds = [1 + (stop - 1) * i // workers for i in range(workers + 1)]
     return list(zip(bounds, bounds[1:])), min(workers, cpus)
 
 
@@ -179,17 +179,17 @@ def _representatives(N: int, lo: int, hi: int):
     """(a, a*, digits of a/N), all from one walk, for each orbit
     representative a in [lo, hi): a coprime to N with a <= a* = q_{r-1}(a).
 
-    A representative clears its partner a* > a in its block's table from
-    core._unit_blocks, which compress reads as it goes, so a* is not
-    walked; a partner in an earlier block or range costs a discarded walk.
+    A representative clears its partner a* > a in the range's table from
+    core._unit_table, which compress reads as it goes, so a* is not
+    walked; only a partner in an earlier range costs a discarded walk.
     """
-    for block, table in _unit_blocks(N, lo, hi):
-        for a in compress(block, table):
-            digits, star = cf_walk(a, N)
-            if a <= star:
-                if star < block.stop:
-                    table[star - block.start] = 0
-                yield a, star, digits
+    table = _unit_table(N, lo, hi)
+    for a in compress(range(lo, hi), table):
+        digits, star = cf_walk(a, N)
+        if a <= star:
+            if star < hi:
+                table[star - lo] = 0
+            yield a, star, digits
 
 
 def _orbit_fn(spec: StatSpec, N: int):

@@ -56,10 +56,10 @@ class LimitExceeded(CfqError):
 STAT_KINDS = ("S", "M", "L", "S_alt", "D", "restricted")
 WEIGHT_KINDS = ("one", "identity", "square")
 
-#: Largest N of scan and digit_histogram.  Their memory stays near one
-#: core.MARK_BLOCK table whatever N is (21 MB at N = 10^7), but their
-#: time grows with N: 11-15 s on one CPU at 10^7, so about 2-3 min at the
-#: limit.
+#: Largest N of scan and digit_histogram.  Each worker's range is one
+#: core._unit_table of a byte per numerator, N/2 bytes at 1 worker: a
+#: process peaked at 86 MB building it at N = 10^8 (20 MB for a whole scan
+#: at 10^7).  Time grows with N: 5-6 s on one CPU at 10^7, 54 s at 10^8.
 SCAN_LIMIT = 10 ** 8
 
 #: Most digits m in one table or sum: the m_max of digit_histogram (each

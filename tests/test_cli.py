@@ -400,6 +400,27 @@ def test_scan_refuses_window_options_its_statistic_does_not_read(
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--min-stat", "S", "--zaremba", "5", "--range", "2", "10"],
+     "search: --min-stat does not apply to --zaremba"),
+    (["farey", "10", "--law", "vardi", "--t", "7"],
+     "farey: --t does not apply to --law vardi"),
+], ids=["search-min-stat-zaremba", "farey-t-vardi"])
+def test_options_a_mode_does_not_read_are_usage_errors(tmp_path, capsys,
+                                                       argv, message):
+    # --zaremba reads no --min-stat and vardi no --t, so either is refused
+    # before anything is written, to stdout or to an existing -o FILE
+    path = tmp_path / "out.txt"
+    path.write_text("earlier\n")
+    for prefix in ([], ["-o", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(prefix + argv)
+        assert exc.value.code == 2
+        assert tuple(capsys.readouterr()) == ("", f"cfq {message}\n")
+    assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 @pytest.mark.parametrize("stat, window", [
     ("S", []), ("M", []), ("L", ["--b", "1", "--c", "2"]), ("S_alt", []),
     ("D", []), ("restricted", ["--eta", "2", "--theta", "5"]),

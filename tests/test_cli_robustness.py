@@ -4,7 +4,9 @@ Each example draws a subcommand of build_parser() and, for each of its
 options, a value or none.  Every value is tagged: VALID lies in the
 documented domain; BAD lies outside it (0, negatives, nan, inf, 1/0, empty
 strings, repeated thresholds, reversed ranges, unknown choices, a missing
--o directory, a scan window option that its statistic does not read);
+-o directory, an option that its mode does not read: a scan window option
+that its statistic does not read, search --min-stat with --zaremba, farey
+--t with --law vardi);
 OVER is just above a size limit of cfq.errors or core.MAX_DENOMINATOR.
 Valid sizes stay small (N at most 2000, --workers 1 or 2), so no example
 does real work, and a value over a limit is refused before any work is
@@ -186,6 +188,24 @@ def _statistic(draw):
     return tokens, tags
 
 
+def _unread(mode, mode_fill, option, option_fill, unread):
+    """A mode option and an option that only some modes read, each given
+    or not: the option given with a mode value for which unread(value)
+    holds (None when the mode is left at its default) is BAD, whatever its
+    value."""
+    def draw_pair(draw):
+        tokens, tags, values = [], set(), {}
+        for flag, fill in ((mode, mode_fill), (option, option_fill)):
+            if draw(st.integers(0, 2)):
+                [values[flag]], more = fill(draw)
+                tokens.append(f"{flag}={values[flag]}")
+                tags |= more
+        if option in values and unread(values.get(mode)):
+            tags.add(BAD)
+        return tokens, tags
+    return draw_pair
+
+
 #: The values of each option that is not a choice or --workers, by command
 #: and the dests it fills.
 SLOTS = {
@@ -197,11 +217,18 @@ SLOTS = {
     "discrepancy": {("N",): lambda d: _size(d, 2, 300, DISCREPANCY_LIMIT),
                     ("lo", "hi"): _ends},
     "search": {("range",): lambda d: _pair(d, 2, 40, SEARCH_LIMIT),
-               ("zaremba",): lambda d: _size(d, 1, 6)},
+               ("min_stat", "zaremba"): _unread(
+                   "--zaremba", lambda d: _size(d, 1, 6), "--min-stat",
+                   lambda d: _token(d, ("S", "M"), ("bogus", "")),
+                   lambda zaremba: zaremba is not None)},
     "farey": {("Q",): lambda d: _size(d, 3, 30, FAREY_LIMIT),
-              ("t",): lambda d: _token(d, ("2", "0.5", "3.7"),
-                                       ("nan", "inf", "-inf", "1e400", "x",
-                                        ""))},
+              ("law", "t"): _unread(
+                  "--law", lambda d: _token(d, ("hensley", "vardi", "bd"),
+                                            ("bogus", "")),
+                  "--t", lambda d: _token(d, ("2", "0.5", "3.7"),
+                                          ("nan", "inf", "-inf", "1e400",
+                                           "x", "")),
+                  lambda law: law == "vardi")},
     "gk": {("N",): lambda d: _size(d, 3, 2000, SCAN_LIMIT),
            ("max_digit",): lambda d: _size(d, 1, 20, HISTOGRAM_LIMIT)},
     "constants": {("eta", "theta"): _window("--eta", "--theta"),
@@ -285,6 +312,9 @@ def _main(argv):
                 {BAD}), output=None)
 @example(case=(["scan", "7", "--stat=restricted", "--eta=2", "--c=9"],
                 {BAD}), output=None)
+@example(case=(["search", "--min-stat=S", "--zaremba=5", "--range", "2",
+                "10"], {BAD}), output="file")
+@example(case=(["farey", "10", "--law=vardi", "--t=7"], {BAD}), output=None)
 @example(case=(["scan", "--range", "5", "7", "--stat=L", "--b=1", "--c=2",
                 "--format=csv"], {VALID}), output=None)
 @settings(max_examples=300, deadline=None)

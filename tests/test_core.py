@@ -129,12 +129,12 @@ def test_stat_count_window_validation():
         stat_count(cf, 4, 2)
 
 
-@pytest.mark.parametrize("block", [1, 3, 7, 2 ** 22])
-def test_units_match_gcd_filter(monkeypatch, block):
+@pytest.mark.parametrize("seed", [1, 3, 7, 2 ** 22])
+def test_units_match_gcd_filter(seed):
     # [1, N) is Z_N*, and [1, N + 1) adds N itself, which only Z_1* = {1}
-    # keeps; unaligned [lo, hi) start a block off every multiple of a factor
-    monkeypatch.setattr("cfq.core.MARK_BLOCK", block)
-    rng = random.Random(block)
+    # keeps; unaligned [lo, hi) start the table off every multiple of a
+    # factor
+    rng = random.Random(seed)
     for N in [*range(1, 401), 2310, 30030]:
         ranges = [(1, N), (1, N + 1)] + [
             sorted((rng.randint(1, N + 1), rng.randint(1, N + 1)))

@@ -494,7 +494,7 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
                 assert list(_representatives(N, 1, cut)) + \
                     list(_representatives(N, cut, N // 2 + 1)) == \
                     list(_representatives(N, 1, N // 2 + 1)), (N, cut)
-    # a partner cleared in the table is never walked: in one block, each
+    # a partner cleared in the table is never walked: in one range, each
     # walk yields a representative
     walks = []
     monkeypatch.setattr("cfq.ensemble.cf_walk",
@@ -503,12 +503,9 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
         walks.clear()
         assert len(list(_representatives(N, 1, N // 2 + 1))) == len(walks)
     monkeypatch.undo()
-    # marks a* only inside a block: blocks of 5 numerators change nothing,
-    # and the walks of partners from earlier blocks or ranges are discarded
-    whole = {N: list(_representatives(N, 1, N // 2 + 1)) for N in (97, 1009)}
-    monkeypatch.setattr("cfq.core.MARK_BLOCK", 5)
-    for N, reps in whole.items():
-        assert list(_representatives(N, 1, N // 2 + 1)) == reps
+    # a range marks a* only inside itself: 3 workers change nothing, and
+    # the walks of partners from earlier ranges are discarded
+    for N in (97, 1009):
         assert digit_histogram(N, 4) == _reference_digit_histogram(N, 4)
         for spec in (StatSpec("S"), StatSpec("M"), StatSpec("D")):
             ref = _reference_scan(N, spec, [1.0], 0.0, True)
@@ -517,7 +514,6 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
                          with_histogram=True, absolute=True)
                 assert (s.count, s.sum_scaled, s.sumsq_scaled, s.tail_counts,
                         s.histogram) == ref, (N, spec.label(), workers)
-    monkeypatch.undo()
     # N = 2: {1}; N = 3, 4, 6: {1, N - 1}
     for N in (2, 3, 4, 6):
         assert list(_representatives(N, 1, N // 2 + 1)) == [(1, 1, [N])]
@@ -526,27 +522,24 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
                     if math.gcd(a, N) == 1)
 
 
-def _gcd_filter_representatives(N, lo, hi, block):
+def _gcd_filter_representatives(N, lo, hi):
     """The gcd-filter oracle of _representatives: a gcd per numerator, and
-    partners marked per block of `block` numerators."""
-    for start in range(lo, hi, block):
-        end = min(start + block, hi)
-        seen = bytearray(end - start)
-        for a in range(start, end):
-            if seen[a - start] or math.gcd(a, N) != 1:
-                continue
-            digits, star = cf_walk(a, N)
-            if a <= star:
-                if star < end:
-                    seen[star - start] = 1
-                yield a, star, digits
+    partners marked in one table over [lo, hi)."""
+    seen = bytearray(hi - lo)
+    for a in range(lo, hi):
+        if seen[a - lo] or math.gcd(a, N) != 1:
+            continue
+        digits, star = cf_walk(a, N)
+        if a <= star:
+            if star < hi:
+                seen[star - lo] = 1
+            yield a, star, digits
 
 
-@pytest.mark.parametrize("block", [1, 3, 7, 2 ** 22])
-def test_representatives_match_gcd_filter(monkeypatch, block):
-    # unaligned [lo, hi), so a block starts off every multiple of a factor
-    monkeypatch.setattr("cfq.core.MARK_BLOCK", block)
-    rng = random.Random(block)
+@pytest.mark.parametrize("seed", [1, 3, 7, 2 ** 22])
+def test_representatives_match_gcd_filter(seed):
+    # unaligned [lo, hi), so the table starts off every multiple of a factor
+    rng = random.Random(seed)
     for N in [*range(2, 200), 210, 360, 512, 729, 1001, 2310]:
         half = N // 2 + 1
         ranges = [(1, half)] + [sorted((rng.randint(1, half),
@@ -554,7 +547,7 @@ def test_representatives_match_gcd_filter(monkeypatch, block):
                                 for _ in range(3)]
         for lo, hi in ranges:
             assert list(_representatives(N, lo, hi)) == list(
-                _gcd_filter_representatives(N, lo, hi, block)), (N, lo, hi)
+                _gcd_filter_representatives(N, lo, hi)), (N, lo, hi)
 
 
 @settings(max_examples=300, deadline=None)

@@ -131,13 +131,13 @@ def _src_readers(name):
 def test_units_are_enumerated_in_one_place():
     # A range over Z_N* comes from core._units; math.gcd only tests one
     # number (weight_row_at each of its two candidate prefixes), and only
-    # _unit_blocks and euler_phi factor N.
+    # _unit_table and euler_phi factor N.
     assert _src_readers("gcd") == ["core.ReducedFraction.__init__",
                                    "dedekind.reciprocity_check",
                                    "weight._check_prefix",
                                    "weight.weight_row_at",
                                    "weight.weight_row_at"]
-    assert _src_readers("_prime_factors") == ["core._unit_blocks",
+    assert _src_readers("_prime_factors") == ["core._unit_table",
                                               "ensemble.euler_phi"]
 
 
