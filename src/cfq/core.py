@@ -2,14 +2,16 @@
 
 Every fraction a/N handled here is reduced, with 1 <= a <= N-1 and N >= 2.
 Expansions use the canonical form [0; a_1, ..., a_r] with a_r >= 2 (for
-r >= 2; a single digit equals N and is always >= 2).  cf_walk is the one
-full Euclid walk: it yields the digits together with q_{r-1}, the
-next-to-last convergent denominator, which fixes the digit-reversed
-partner a* and the Dedekind sum.  cf_digits is its digit list; every
-statistic of the whole expansion is a fold of that list (sum, max,
-count_in, alt_sum, windowed_sum).  _units is the one enumeration of Z_N*:
-one prime-factor sieve table per range (_unit_table), with no gcd per
-numerator.
+r >= 2; a single digit equals N and is always >= 2).  cf_walk is the full
+Euclid walk of one fraction: it yields the digits together with q_{r-1},
+the next-to-last convergent denominator, which fixes the digit-reversed
+partner a* and the Dedekind sum.  The per-fraction API, the digit
+histogram and the reflections read it; the ensemble scans fold their
+digits in a walk of their own (ensemble._orbits).  cf_digits is its digit
+list; every statistic of the whole expansion is a fold of that list
+(sum, max, count_in, alt_sum, windowed_sum).  _units is the one
+enumeration of Z_N*: one prime-factor sieve table per range
+(_unit_table), with no gcd per numerator.
 """
 
 from __future__ import annotations
@@ -117,31 +119,52 @@ class ReducedFraction(Record):
 def _prime_factors(N: int) -> list[int]:
     """The distinct primes dividing N >= 1, ascending, by trial division."""
     primes = []
-    p = 2
+    p, step = 2, 1
     while p * p <= N:
         if N % p == 0:
             primes.append(p)
             while N % p == 0:
                 N //= p
-        p += 1 if p == 2 else 2
+        p, step = p + step, 2
     if N > 1:
         primes.append(N)
     return primes
 
 
-def _unit_table(N: int, lo: int, hi: int) -> bytearray:
+def _unit_table(N: int, lo: int, hi: int,
+                primes: Optional[list] = None) -> bytearray:
     """One byte per numerator of [lo, hi): table[a - lo] is 1 when a is
-    prime to N, else 0."""
-    table = bytearray(b"\1") * (hi - lo)  # empty when hi <= lo
-    for p in _prime_factors(N):
-        multiples = range(-lo % p, len(table), p)
-        table[multiples.start::p] = bytes(len(multiples))
+    prime to N, else 0.  primes are N's prime factors, if known.
+
+    The small primes clear their multiples in a residue pattern, which is
+    repeated to the table's length and cut there: p joins the pattern
+    while the pattern, p times longer, stays within sqrt(hi - lo) bytes.
+    Each larger p clears its multiples by one slice assignment from a
+    zero bytearray of (hi - lo)/p bytes (from bytes, the assignment would
+    copy it first).  So p = 2 makes no buffer of half the table's size,
+    and no buffer but the table is large."""
+    length = hi - lo
+    primes = _prime_factors(N) if primes is None else primes
+    table, small = bytearray(b"\1"), 0
+    for p in primes:
+        k = len(table)
+        if k * k * p * p > length:
+            break  # primes ascend, so no later p joins either
+        table *= p
+        table[-lo % p::p] = bytearray(k)
+        small += 1
+    table *= length // len(table) + 1  # empty when hi <= lo
+    del table[length:]
+    for p in primes[small:]:
+        multiples = range(-lo % p, length, p)
+        table[multiples.start::p] = bytearray(len(multiples))
     return table
 
 
-def _units(N: int, lo: int, hi: int):
-    """The numerators in [lo, hi) prime to N, ascending: Z_N* for [1, N)."""
-    return compress(range(lo, hi), _unit_table(N, lo, hi))
+def _units(N: int, lo: int, hi: int, primes: Optional[list] = None):
+    """The numerators in [lo, hi) prime to N, ascending: Z_N* for [1, N).
+    primes are N's prime factors, if known."""
+    return compress(range(lo, hi), _unit_table(N, lo, hi, primes))
 
 
 def cf_walk(a: int, N: int) -> tuple[list[int], int]:

@@ -9,10 +9,11 @@ denominator q_{r-1} of the same expansion:
 
 where S_alt = sum_i (-1)^i a_i.  Continuants are symmetric, so q_{r-1}
 is also the numerator of the reversed expansion [0; a_r, ..., a_1].
-core.cf_walk yields the digits and q_{r-1} in one Euclid walk, and
-closed_form turns them into 24 N D(a, N); ensemble scans call it on the
-walk they already made.  A D scan imports only closed_form, so fractions
-is imported by the functions that return a Fraction.
+closed_form turns the parity of r, S_alt and q_{r-1} into 24 N D(a, N):
+dedekind_scaled reads them off one core.cf_walk, and a D scan off the
+walk it already made, which folds S_alt without a digit list.  A D scan
+imports only closed_form, so fractions is imported by the functions
+that return a Fraction.
 """
 
 from __future__ import annotations
@@ -55,13 +56,14 @@ def dedekind_scaled(a: int, N: int) -> int:
     # a q_{r-1} = (-1)^(r-1) mod N holds exactly when gcd(a, N) = 1
     if (a * q - (-1) ** (len(digits) - 1)) % N:
         raise InvariantError(f"{a}/{N} is not reduced")
-    return closed_form(a, N, digits, q)
+    return closed_form(a, N, len(digits) % 2, alt_sum(digits), q)
 
 
-def closed_form(a: int, N: int, digits: list[int], q: int) -> int:
-    """24 N D(a, N) from the digits of a/N and q = q_{r-1}."""
-    sign = -1 if len(digits) % 2 else 1  # (-1)^r
-    return 3 * N * (sign - 1) + 2 * (a - sign * q) - 2 * N * alt_sum(digits)
+def closed_form(a: int, N: int, odd: bool, s_alt: int, q: int) -> int:
+    """24 N D(a, N) from the parity of the length r of a/N's expansion (odd
+    when r is), its alternating digit sum s_alt and q = q_{r-1}."""
+    sign = -1 if odd else 1  # (-1)^r
+    return 3 * N * (sign - 1) + 2 * (a - sign * q) - 2 * N * s_alt
 
 
 def reciprocity_check(a: int, b: int) -> bool:

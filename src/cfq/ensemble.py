@@ -5,16 +5,20 @@ A scan visits Z_N* one symmetry orbit at a time.  The maps a -> N - a
 and a -> a^-1 mod N generate a group of order 4; the orbit of a <= N/2
 is {a, N - a, a*, N - a*} with a* = min(a^-1, N - a^-1) = q_{r-1}(a),
 whose digits are those of a reversed, while N - a has [1, a_1 - 1, a_2,
-..., a_r].  One walk of a (core.cf_walk) gives its digits and a*; only
-a <= a* is kept, and a* is not walked (about phi(N)/4 Euclid walks).
-The digits of a give every member's statistic as (value, multiplicity)
-pairs.  A palindrome (a* = a) has two members, and N = 2 the one member 1.
-S, M, L, S_alt and restricted take few distinct values (S 479 of 40,008
-members at N = 40009), so a worker counts the members of each raw value
-and folds each value once into exact first and second moments plus tail
+..., a_r].  Only a <= a* is kept, and a* is not walked (about phi(N)/4
+Euclid walks).  A palindrome (a* = a) has two members, and N = 2 the one
+member 1.  The scans' walk (_orbits) keeps no digit list: it folds each
+digit of a/N into the statistic as it goes, and once its divisor is
+below T, about N^(1/3), it reads the fold of the rest b/n and the
+convergent that gives a* from a table of every b/n with n < T
+(_tail_table), built once per size and kind without a walk.  S, M, L,
+S_alt and restricted take few distinct values (S 479 of 40,008 members
+at N = 40009), so a worker counts the members of each raw value and
+folds each value once into exact first and second moments plus tail
 counts against thresholds that scale with ln N.  D takes about phi(N)/2
-values, so a worker folds its pairs as they come, unless a histogram is
-asked for.  Either way the tail test is the one rule of _fold.
+values, so its pairs stream into the fold unless a histogram is asked
+for.  Either way the tail test is the one rule of _fold.  digit_histogram
+walks each representative with core.cf_walk, whose digit list it counts.
 Workers split the representative range [1, N/2] into contiguous ranges;
 the merge adds the workers' fold vectors element-wise, and their counts
 for a histogram, so the result does not depend on the worker count.
@@ -24,12 +28,12 @@ from __future__ import annotations
 
 import math
 import os
-from functools import cache
-from itertools import chain, compress
+from functools import lru_cache
+from itertools import compress
 from typing import TYPE_CHECKING, Optional
 
 from .core import (PI2, Record, WeightFn, Window, _prime_factors,
-                   _unit_table, alt_sum, cf_walk, count_in, windowed_sum)
+                   _unit_table, cf_walk)
 from .errors import (HISTOGRAM_LIMIT, SCAN_LIMIT, STAT_KINDS, InvalidSpec,
                      InvariantError, LimitExceeded)
 
@@ -192,61 +196,194 @@ def _representatives(N: int, lo: int, hi: int):
             yield a, star, digits
 
 
-def _orbit_fn(spec: StatSpec, N: int):
-    """(a, a*, digits d of a/N) -> (raw value, multiplicity) pairs of spec
-    over the members a, N - a, a*, N - a* of the orbit of a < N/2, a's own
-    value first.  The raw value is a fold of d, or 24 N D(a/N).
+def _tail_size(N: int) -> int:
+    """T, below which a scan's walk of a/N hands its divisor over to the
+    tail table: about N^(1/3), and at least 2.  A walk then reads about a
+    third of a/N's digits from the table, which holds T^2 entries per list
+    (T = 34 at N = 4*10^4, 215 at 10^7, 464 at SCAN_LIMIT).  A quarter of
+    sqrt(N) read 5 % faster at N = 10^6+3 (S: 272 against 285 ms), but at
+    10^7 its lists would take 15 MB against the scan's 20 MB peak."""
+    return max(2, round(N ** (1 / 3)))
 
-    Built in the worker, since a closure does not pickle.
+
+@lru_cache(maxsize=1)
+def _tail_table(T: int, fold) -> dict:
+    """Every tail b/n of a scan's walks, 0 <= b < n < T, as flat lists
+    indexed n T + b; index T, 0/1, is the empty tail.  Entry b/n is built
+    from b/n = [0; d, rest], d = n // b and rest = (n mod b)/b, whose
+    entry is built first, so the table walks nothing.  Every fold keeps
+    P and Q, the convergent p_{k-1}/q_{k-1} before the last of b/n's k
+    digits, and F, b/n's fold; besides, by fold (see _tails_for):
+      S_alt: sign, (-1)^k;
+      M: R, whether the maximum F repeats, and last, the last digit;
+      a window (f, eta, theta): last; weight, d -> f(d) on the window,
+        else 0, and delta, the change of a window sum when a digit d >= 2
+        becomes 1, d - 1; and W and D, the two for each d < T.
+    Entries of b/n with gcd(b, n) > 1 are never read.  The last table is
+    kept, and read only: T grows with N, so a range or a Farey law, which
+    take N in ascending order, builds each size once."""
+    size = T * T
+    P, Q, F = [1] * size, [0] * size, [0] * size
+    t = {"T": T, "P": P, "Q": Q, "F": F}
+    if fold == "S_alt":
+        sign = t["sign"] = [1] * size
+    elif fold != "S":
+        last = t["last"] = [0] * size
+        if fold == "M":
+            R = t["R"] = [False] * size
+        else:
+            f, eta, theta = fold
+
+            def weight(d):
+                return (f(d) if eta <= d and (theta is None or d <= theta)
+                        else 0)
+
+            def delta(d):
+                return weight(1) + weight(d - 1) - weight(d)
+            W = [weight(d) for d in range(T)]
+            t.update(weight=weight, delta=delta, W=W,
+                     D=[0, 0] + [delta(d) for d in range(2, T)])
+    for n in range(2, T):
+        for b in range(1, n):
+            d = n // b
+            i, j = n * T + b, b * T + n % b
+            P[i], Q[i] = Q[j], d * Q[j] + P[j]
+            if fold == "S":
+                F[i] = d + F[j]
+            elif fold == "S_alt":
+                F[i] = -d - F[j]
+                sign[i] = -sign[j]
+            else:
+                last[i] = last[j] or d
+                if fold != "M":
+                    F[i] = W[d] + F[j]
+                elif d >= F[j]:
+                    F[i], R[i] = d, d == F[j]
+                else:
+                    F[i], R[i] = F[j], R[j]
+    return t
+
+
+def _tails_for(N: int, spec: StatSpec) -> dict:
+    """The tail table for a scan of spec over Z_N*, whose entries fold the
+    digit sum (S), the alternating sum (S_alt, D), the maximum (M), or
+    the weighted sum over a digit window, (f, eta, theta) (L, restricted)."""
+    kind = spec.kind
+    if kind == "L":
+        fold = WeightFn.one(), spec.b, spec.c
+    elif kind == "restricted":
+        fold = spec.f, spec.eta, spec.theta
+    else:
+        fold = "S_alt" if kind == "D" else kind
+    return _tail_table(_tail_size(N), fold)
+
+
+def _orbits(N: int, lo: int, hi: int, spec: StatSpec, counts: dict):
+    """Fold spec over the members of the orbits of the representatives in
+    [lo, hi), a <= a* as _representatives picks them: count the members
+    of each raw value into counts, or, for D, yield (raw, multiplicity)
+    pairs.  The raw value is the fold of the digits of a member, or
+    24 N D(a/N).
+
+    The walk of a/N keeps no digit list.  It folds each digit into s as it
+    goes, keeps (q_{j-1}, q_j), and stops once its divisor is below T; the
+    rest of a/N is a tail b/n of _tails_for(N, spec), whose entry
+    completes s and gives a* = q_j Q + q_{j-1} P.  Each kind's step on a
+    digit d, beside its entry for [0; d, rest] in _tail_table:
+      S: s += d (d + F of rest);
+      S_alt and D: s = d - s, (-1)^j S_alt of the j digits so far
+        (-d - F);
+      M: s = max(s, d), rep whether the maximum repeats (max(d, F), R);
+      a window: s += W[d] (W[d] + F).
+    The orbit of a < N/2 is {a, a*, N - a, N - a*}: a* has a's digits
+    reversed, N - a has [1, a_1 - 1, a_2, ..., a_r] and N - a* has
+    [1, a_r - 1, ..., a_1].  A palindrome a = a* has {a, N - a}, and
+    N = 2 the one member 1.
     """
-    if spec.kind == "D":
+    t = _tails_for(N, spec)
+    T, P, Q, F = t["T"], t["P"], t["Q"], t["F"]
+    sign, last, R, weight, delta, W, D = map(
+        t.get, ("sign", "last", "R", "weight", "delta", "W", "D"))
+    kind = spec.kind
+    is_sum, is_alt, is_max = kind == "S", kind in ("S_alt", "D"), kind == "M"
+    if kind == "D":
         from .dedekind import closed_form  # no other kind loads dedekind
-
-        # D(a^-1/N) = D(a/N) and D((N-a)/N) = -D(a/N)
-        def dedekind_pairs(a, star, d):
-            v = closed_form(a, N, d, star)
-            return (v, 2), (-v, 2)
-        return dedekind_pairs
-    if spec.kind == "S":
-        return lambda a, star, d: ((sum(d), 4),)
-    if spec.kind == "M":
-        def max_pairs(a, star, d):
-            m = max(d)
-            # N - a (N - a*) has m - 1 when a_1 (a_r) is the only maximum
-            k = 0 if d.count(m) > 1 else (d[0] == m) + (d[-1] == m)
-            return ((m, 4 - k), (m - 1, k)) if k else ((m, 4),)
-        return max_pairs
-    if spec.kind == "S_alt":
-        def alt_pairs(a, star, d):
-            s = alt_sum(d)
-            # a* has S_alt (-1)^(r-1) s, which is s if r is odd or s = 0
-            if len(d) % 2 or not s:
-                return (s, 2), (-s - 2, 2)
-            return (s, 1), (-s - 2, 1), (-s, 1), (s - 2, 1)
-        return alt_pairs
-    fold, params = ((count_in, (spec.b, spec.c)) if spec.kind == "L" else
-                    (windowed_sum, (spec.f, spec.eta, spec.theta)))
-
-    @cache
-    def delta(x):
-        """The change of an additive fold when x becomes 1, x - 1."""
-        return fold((1, x - 1), *params) - fold((x,), *params)
-
-    def additive_pairs(a, star, d):
-        F = fold(d, *params)
-        first, last = delta(d[0]), delta(d[-1])
-        if first == last:
-            return ((F, 4),) if not first else ((F, 2), (F + first, 2))
-        return (F, 2), (F + first, 1), (F + last, 1)
-    return additive_pairs
-
-
-def _palindrome(pairs, a: int, N: int):
-    """The pairs of a palindrome a = a*, which _orbit_fn lists twice; for
-    N = 2 the one member 1."""
-    if 2 * a < N:
-        return [(raw, mult // 2) for raw, mult in pairs]
-    return ((pairs[0][0], 1),)
+    get = counts.get
+    units = _unit_table(N, lo, hi)
+    for a in compress(range(lo, hi), units):
+        d = d1 = N // a
+        x, y = a, N - d * a
+        q0, q1 = 1, d
+        if is_sum or is_alt or is_max:
+            s, rep = d, False
+        else:
+            s = W[d] if d < T else weight(d)
+        while x >= T:
+            d = x // y
+            x, y = y, x - d * y
+            q0, q1 = q1, d * q1 + q0
+            if is_sum:
+                s += d
+            elif is_alt:
+                s = d - s
+            elif is_max:
+                if d >= s:
+                    rep, s = d == s, d
+            else:
+                s += W[d] if d < T else weight(d)
+        i = x * T + y
+        star = q1 * Q[i] + q0 * P[i]
+        if a > star:
+            continue  # the representative a* < a lies in an earlier range
+        if star < hi:
+            units[star - lo] = 0
+        # members a, a* (own) and N - a, N - a* (neg)
+        own = neg = 2
+        if star == a:
+            own, neg = 1, 1 if 2 * a < N else 0
+        if is_sum:
+            s += F[i]
+            counts[s] = get(s, 0) + own + neg
+            continue
+        # the raw values of a, a*, N - a and N - a*
+        if is_alt:
+            s = sign[i] * (s + F[i])  # (-1)^r S_alt(a/N)
+            odd = a * star % N == 1  # a q_{r-1} = (-1)^(r-1) mod N
+            if odd:
+                s = -s
+            if kind == "D":
+                v = closed_form(a, N, odd, s, star)
+                yield v, own  # D(a*/N) = D(a/N) = -D((N - a)/N)
+                yield -v, neg
+                continue
+            # S_alt(a*) = (-1)^(r-1) S_alt(a), S_alt(N - a) = -S_alt(a) - 2
+            va, vs = s, s if odd else -s
+            na, ns = -va - 2, -vs - 2
+        elif is_max:
+            if F[i] > s:
+                s, rep = F[i], R[i]
+            elif F[i] == s:
+                rep = True
+            # N - a (N - a*) has s - 1 when a_1 (a_r) is the one maximum
+            va = vs = s
+            na = s - (not rep and d1 == s)
+            ns = s - (not rep and (last[i] or d) == s)
+        else:
+            s += F[i]
+            dr = last[i] or d
+            va = vs = s
+            na = s + (D[d1] if d1 < T else delta(d1))
+            ns = s + (D[dr] if dr < T else delta(dr))
+        if va == vs:
+            counts[va] = get(va, 0) + own
+        else:
+            counts[va] = get(va, 0) + 1
+            counts[vs] = get(vs, 0) + 1
+        if na != ns:
+            counts[na] = get(na, 0) + 1
+            counts[ns] = get(ns, 0) + 1
+        elif neg:
+            counts[na] = get(na, 0) + neg
 
 
 def _fold(pairs, cuts, scale: int, center: float, absolute: bool) -> list:
@@ -273,23 +410,17 @@ def _fold(pairs, cuts, scale: int, center: float, absolute: bool) -> list:
 def _scan_range(args):
     """(_fold of the members of the orbits of the representatives in
     [lo, hi), their counts {raw value: members} if a histogram is asked
-    for).  Every kind but D without a histogram counts its members and
-    folds each raw value once."""
+    for).  Every kind but D counts its members as it walks and folds each
+    raw value once; D's pairs stream into _fold unless a histogram is
+    asked for."""
     N, lo, hi, spec, with_histogram, fold_args = args
-    orbit = _orbit_fn(spec, N)
-    if spec.kind == "D" and not with_histogram:
-        return _fold(chain.from_iterable(
-            _palindrome(orbit(a, star, d), a, N) if star == a
-            else orbit(a, star, d)
-            for a, star, d in _representatives(N, lo, hi)), *fold_args), None
     counts: dict = {}
+    pairs = _orbits(N, lo, hi, spec, counts)
+    if spec.kind == "D" and not with_histogram:
+        return _fold(pairs, *fold_args), None
     get = counts.get
-    for a, star, d in _representatives(N, lo, hi):
-        pairs = orbit(a, star, d)
-        if star == a:
-            pairs = _palindrome(pairs, a, N)
-        for raw, mult in pairs:
-            counts[raw] = get(raw, 0) + mult
+    for raw, mult in pairs:  # D's; the other kinds yield none
+        counts[raw] = get(raw, 0) + mult
     return (_fold(counts.items(), *fold_args),
             counts if with_histogram else None)
 
@@ -311,6 +442,7 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
         spec.f.validate_on(Window(spec.eta, spec.theta), max_digit=N)
     logN = math.log(N)
     fold_args = ([t * logN for t in thresholds], scale, center, absolute)
+    _tails_for(N, spec)  # built here, so that forked workers inherit it
     parts = _map_ranges(_scan_range, N, workers, spec, with_histogram,
                         fold_args)
     count, sum_scaled, sumsq_scaled, *tails = map(sum, zip(*(

@@ -57,9 +57,11 @@ STAT_KINDS = ("S", "M", "L", "S_alt", "D", "restricted")
 WEIGHT_KINDS = ("one", "identity", "square")
 
 #: Largest N of scan and digit_histogram.  Each worker's range is one
-#: core._unit_table of a byte per numerator, N/2 bytes at 1 worker: a
-#: process peaked at 86 MB building it at N = 10^8 (20 MB for a whole scan
-#: at 10^7).  Time grows with N: 5-6 s on one CPU at 10^7, 54 s at 10^8.
+#: core._unit_table of a byte per numerator, N/2 bytes at 1 worker, and a
+#: scan keeps one tail table of about N^(2/3) entries per list: an S scan
+#: peaked at 68 MB at N = 10^8, 70 MB at the prime 99,999,989 and 22 MB
+#: at 10^7.  Time grows with N: 3.5-4 s on one CPU at 10^7, 20-51 s at
+#: 10^8.
 SCAN_LIMIT = 10 ** 8
 
 #: Most digits m in one table or sum: the m_max of digit_histogram (each

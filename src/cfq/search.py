@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Record, _units, digit_sum_center
+from .core import Record, _prime_factors, _units, digit_sum_center
 from .errors import SEARCH_LIMIT, BadRange, InvariantError, LimitExceeded
 
 
@@ -90,6 +90,19 @@ def min_max_quotient(N: int) -> ExtremalRecord:
     return ExtremalRecord(N, best_a, best, bound, True)
 
 
+def _witness(N: int, lo: int, hi: int, bound: int, primes: list) -> bool:
+    """Whether some a in [lo, hi) prime to N has every digit of a/N below
+    bound.  [lo, hi) is sieved in blocks of isqrt(N) + 1 numerators,
+    doubling, up to the first witness: about twice what the walk reads."""
+    size = math.isqrt(N) + 1
+    while lo < hi:
+        for a in _units(N, lo, min(lo + size, hi), primes):
+            if _max_digit_below(a, N, bound) is not None:
+                return True
+        lo, size = lo + size, 2 * size
+    return False
+
+
 def zaremba_scan(N_lo: int, N_hi: int, K: int) -> list[int]:
     """Denominators in [N_lo, N_hi] with no numerator keeping all digits <= K.
 
@@ -103,11 +116,5 @@ def zaremba_scan(N_lo: int, N_hi: int, K: int) -> list[int]:
     if K < 1:
         raise BadRange(f"need K >= 1, got {K}")
     _check_N(N_hi)
-    bad = []
-    for N in range(N_lo, N_hi + 1):
-        for a in _units(N, N // (K + 1) + 1, N):
-            if _max_digit_below(a, N, K + 1) is not None:
-                break
-        else:
-            bad.append(N)
-    return bad
+    return [N for N in range(N_lo, N_hi + 1)
+            if not _witness(N, N // (K + 1) + 1, N, K + 1, _prime_factors(N))]

@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cfq.core import (ReducedFraction, WeightFn, Window, _units, cf_digits,
-                      convergents_of, even_odd_sums, expand,
+from cfq.core import (ReducedFraction, WeightFn, Window, _unit_table, _units,
+                      cf_digits, convergents_of, even_odd_sums, expand,
                       restricted_sum, stat_alt, stat_count, stat_max, stat_sum)
 from cfq.errors import (InvalidFraction, InvalidWeight, InvalidWindow,
                         LimitExceeded)
@@ -142,3 +143,23 @@ def test_units_match_gcd_filter(seed):
         for lo, hi in ranges:
             assert list(_units(N, lo, hi)) == [
                 a for a in range(lo, hi) if math.gcd(a, N) == 1], (N, lo, hi)
+
+
+@pytest.mark.parametrize("N", [2 ** 21, 2 * 10 ** 6, 2 * 1000003,
+                               2 * 3 * 5 * 7 * 11 * 13 * 17 * 2])
+def test_unit_table_of_an_even_N_peaks_near_its_size(N):
+    # The representatives' table of [1, N/2] at an even N: p = 2 clears
+    # its multiples in a short repeated pattern, not from a zero buffer of
+    # N/4 bytes (and a bytes one would be copied once more); only the
+    # first prime outside the pattern, here at least 11, takes a buffer,
+    # of at most a tenth of the table.
+    tracemalloc.start()
+    try:
+        table = _unit_table(N, 1, N // 2 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(table[:2310]) == [math.gcd(a, N) == 1
+                                  for a in range(1, 2311)]
+    assert len(table) == N // 2
+    assert peak <= len(table) * 1.1, (peak, len(table))

@@ -2,8 +2,8 @@ import json
 import math
 import random
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,10 +214,16 @@ def test_tail_harnesses_are_one_report(N, which, t_values):
 @pytest.mark.parametrize("kind", ["S", "D"])
 def test_a_lost_orbit_fails_the_member_count(monkeypatch, kind):
     # A walk that drops an orbit visits fewer than phi(N) members, which
-    # scan and digit_histogram each report instead of a wrong result.
-    walk = ensemble._representatives
-    monkeypatch.setattr(ensemble, "_representatives",
-                        lambda N, lo, hi: islice(walk(N, lo, hi), 1, None))
+    # scan and digit_histogram each report instead of a wrong result.  Both
+    # walk the units of ensemble's _unit_table; this one loses a = 1.
+    table = ensemble._unit_table
+
+    def losing_one(N, lo, hi):
+        units = table(N, lo, hi)
+        units[1 - lo] = 0
+        return units
+
+    monkeypatch.setattr(ensemble, "_unit_table", losing_one)
     for N in (7, 1009):
         with pytest.raises(InvariantError, match=f"phi\\({N}\\)"):
             scan(N, StatSpec(kind))
@@ -324,6 +330,13 @@ def test_scan_histograms_match_core_statistics():
             assert hist == Counter(stat(cf) for cf in cfs), (N, spec.label())
 
 
+@lru_cache(maxsize=1)
+def _unit_digits(N):
+    """{a: cf_digits(a, N)} over Z_N*, kept while the tests that read it
+    try each spec at one N."""
+    return {a: cf_digits(a, N) for a in range(1, N) if math.gcd(a, N) == 1}
+
+
 def _reference_scan(N, spec, thresholds, center, absolute):
     """The per-numerator scan: one walk and one fold for every a in Z_N*,
     as (count, sum, sum of squares, tail counts, histogram)."""
@@ -337,8 +350,10 @@ def _reference_scan(N, spec, thresholds, center, absolute):
                         "restricted": (windowed_sum,
                                        (spec.f, spec.eta, spec.theta))}[spec.kind]
 
+        digits = _unit_digits(N)
+
         def value(a):
-            return fold(cf_digits(a, N), *params)
+            return fold(digits[a], *params)
     logN = math.log(N)
     cuts = [t * logN for t in thresholds]
     tails = [0] * len(thresholds)
@@ -455,6 +470,39 @@ def test_scan_fold_matches_reference(N, spec, thresholds, center, absolute,
     assert plain.counts is None and plain.histogram is None
     assert (plain.count, plain.sum_scaled, plain.sumsq_scaled,
             plain.tail_counts) == ref[:4]
+
+
+def test_tail_table_size_leaves_scans_exact(monkeypatch):
+    # A walk hands over to the tail table once its divisor is below T, so
+    # every T >= 2 must give the per-numerator reference: at T = 2 a walk
+    # takes every digit itself and reads the empty tail 0/1, at T = 3 the
+    # tails 0/1 and 1/2, and at T = isqrt(N) + 1 about half its digits
+    # from the table.  N = 2..300 holds N = 2, and palindromes a^2 = +-1
+    # beside a = 1 (3 at N = 10, 4 at N = 15).  One CPU, so the three
+    # ranges of 3 workers run in this process.
+    rules = [lambda N: 2, lambda N: 3, lambda N: math.isqrt(N) + 1]
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    specs = [StatSpec("S"), StatSpec("M"), StatSpec("S_alt"), StatSpec("D"),
+             StatSpec("L", b=1, c=1), StatSpec("L", b=2, c=5),
+             StatSpec("restricted", f=WeightFn.identity(), eta=2),
+             StatSpec("restricted", f=WeightFn.square(), eta=1, theta=3),
+             StatSpec("restricted", eta=4, theta=5, f=WeightFn.from_table(
+                 [Fraction(1, 3), Fraction(5, 2)], start=4))]
+    thresholds = [0.3, 1.0]
+    for N in range(2, 301):
+        center, absolute = 0.5, N % 2 == 1
+        for spec in specs:
+            ref = _reference_scan(N, spec, thresholds, center, absolute)
+            for rule in rules:
+                monkeypatch.setattr(ensemble, "_tail_size", rule)
+                for workers in (1, 3):
+                    s = scan(N, spec, thresholds=thresholds, workers=workers,
+                             with_histogram=True, center=center,
+                             absolute=absolute)
+                    assert (s.count, s.sum_scaled, s.sumsq_scaled,
+                            s.tail_counts, s.histogram) == ref, (
+                        rule(N), N, spec.label(), workers)
 
 
 def test_orbit_member_digits():

@@ -137,8 +137,74 @@ def test_units_are_enumerated_in_one_place():
                                    "weight._check_prefix",
                                    "weight.weight_row_at",
                                    "weight.weight_row_at"]
+    # The Zaremba scan factors each N once for the blocks it sieves, and
+    # every table of units is sieved by _units or an ensemble walk.
     assert _src_readers("_prime_factors") == ["core._unit_table",
-                                              "ensemble.euler_phi"]
+                                              "ensemble.euler_phi",
+                                              "search.zaremba_scan"]
+    assert _src_readers("_unit_table") == ["core._units", "ensemble._orbits",
+                                           "ensemble._representatives"]
+
+
+def _euclid_loops():
+    """The scope of each loop in src/cfq that takes a quotient u // v of two
+    names and a remainder of the same pair, u % v or u - e * v, or both
+    through divmod(u, v): a Euclid step."""
+    found = set()
+    for path in sorted((SRC / "cfq").glob("*.py")):
+        for scope, loop in _loops(ast.parse(path.read_text()), path.stem):
+            quotients, remainders = set(), set()
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and ast.unparse(
+                        node.func) == "divmod" and all(
+                        isinstance(arg, ast.Name) for arg in node.args):
+                    pair = tuple(arg.id for arg in node.args)
+                    quotients.add(pair)
+                    remainders.add(pair)
+                if not (isinstance(node, ast.BinOp)
+                        and isinstance(node.left, ast.Name)):
+                    continue
+                right = node.right
+                if isinstance(right, ast.Name) and isinstance(
+                        node.op, (ast.FloorDiv, ast.Mod)):
+                    (quotients if isinstance(node.op, ast.FloorDiv)
+                     else remainders).add((node.left.id, right.id))
+                if isinstance(node.op, ast.Sub) and isinstance(
+                        right, ast.BinOp) and isinstance(right.op, ast.Mult):
+                    remainders.update((node.left.id, factor.id)
+                                      for factor in (right.left, right.right)
+                                      if isinstance(factor, ast.Name))
+            if quotients & remainders:
+                found.add(scope)
+    return sorted(found)
+
+
+def _loops(node, scope):
+    """(qualified scope, loop) for each for or while loop under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _loops(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, (ast.For, ast.While)):
+            yield scope, child
+        yield from _loops(child, scope)
+
+
+def test_scans_walk_in_one_place():
+    # The scans' table-ended walk replaced the digit-list pairs of
+    # _orbit_fn and _palindrome.  Euclid steps are taken by cf_walk (one
+    # fraction's digits), the scans' walk and its tail table, and the two
+    # pruned search walks; trial division and the Farey neighbours are no
+    # Euclid step.  The table's size is one rule of N, read by one caller.
+    from cfq import ensemble
+    assert not hasattr(ensemble, "_orbit_fn")
+    assert not hasattr(ensemble, "_palindrome")
+    assert _euclid_loops() == ["core.cf_walk", "ensemble._orbits",
+                               "ensemble._tail_table",
+                               "search._max_digit_below", "search._sum_below"]
+    assert _src_readers("_tail_size") == ["ensemble._tails_for"]
+    assert _src_readers("_tail_table") == ["ensemble._tails_for"]
+    assert _src_readers("_tails_for") == ["ensemble._orbits", "ensemble.scan"]
 
 
 def test_scan_tails_have_one_rule():

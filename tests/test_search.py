@@ -156,3 +156,33 @@ def test_min_max_raises_when_no_numerator_is_within_the_bound(monkeypatch):
     message = str(info.value)
     assert message == "min M over Z_6* exceeds 3 ln N = 3.0"
     assert "4" not in message
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_zaremba_scan_matches_brute_force(K):
+    # K = 1 and 2 leave many N without a witness, whose every block is read
+    ref = [N for N in range(2, 401)
+           if not any(max(cf_digits(a, N)) <= K for a in range(1, N)
+                      if math.gcd(a, N) == 1)]
+    assert zaremba_scan(2, 400, K) == ref
+
+
+def test_zaremba_scan_sieves_about_what_it_reads(monkeypatch):
+    # Blocks start at s = isqrt(N) + 1 numerators and double, so a scan
+    # that stops at its first witness a has sieved at most 2 (a - lo) + s
+    # numerators; and N is factored once, not once per block.
+    sieved, factored = [], []
+    units, factors = search._units, search._prime_factors
+    monkeypatch.setattr(search, "_units", lambda N, lo, hi, primes: (
+        sieved.append(hi - lo), units(N, lo, hi, primes))[1])
+    monkeypatch.setattr(search, "_prime_factors", lambda N: (
+        factored.append(N), factors(N))[1])
+    for N in (10 ** 5 + 3, 2 * 3 * 5 * 7 * 11 * 13 * 17, 10 ** 6):
+        sieved.clear()
+        factored.clear()
+        assert zaremba_scan(N, N, 5) == []
+        lo = N // 6 + 1
+        first = next(a for a in units(N, lo, N, None)
+                     if max(cf_digits(a, N)) <= 5)
+        assert factored == [N]
+        assert sum(sieved) <= 2 * (first - lo) + math.isqrt(N) + 1, N
