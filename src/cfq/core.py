@@ -5,13 +5,12 @@ Expansions use the canonical form [0; a_1, ..., a_r] with a_r >= 2 (for
 r >= 2; a single digit equals N and is always >= 2).  cf_walk is the full
 Euclid walk of one fraction: it yields the digits together with q_{r-1},
 the next-to-last convergent denominator, which fixes the digit-reversed
-partner a* and the Dedekind sum.  The per-fraction API, the digit
-histogram and the reflections read it; the ensemble scans fold their
-digits in a walk of their own (ensemble._orbits).  cf_digits is its digit
-list; every statistic of the whole expansion is a fold of that list
-(sum, max, count_in, alt_sum, windowed_sum).  _units is the one
-enumeration of Z_N*: one prime-factor sieve table per range
-(_unit_table), with no gcd per numerator.
+partner a* and the Dedekind sum.  The per-fraction API and the
+reflections read it; the ensemble scans and the digit histogram walk in
+ensemble._orbits.  cf_digits is its digit list; every statistic of the
+whole expansion is a fold of that list (sum, max, count_in, alt_sum,
+windowed_sum).  _units is the one enumeration of Z_N*: one prime-factor
+sieve table per range (_unit_table), with no gcd per numerator.
 """
 
 from __future__ import annotations

@@ -7,18 +7,18 @@ is {a, N - a, a*, N - a*} with a* = min(a^-1, N - a^-1) = q_{r-1}(a),
 whose digits are those of a reversed, while N - a has [1, a_1 - 1, a_2,
 ..., a_r].  Only a <= a* is kept, and a* is not walked (about phi(N)/4
 Euclid walks).  A palindrome (a* = a) has two members, and N = 2 the one
-member 1.  The scans' walk (_orbits) keeps no digit list: it folds each
-digit of a/N into the statistic as it goes, and once its divisor is
-below T, about N^(1/3), it reads the fold of the rest b/n and the
-convergent that gives a* from a table of every b/n with n < T
-(_tail_table), built once per size and kind without a walk.  S, M, L,
-S_alt and restricted take few distinct values (S 479 of 40,008 members
-at N = 40009), so a worker counts the members of each raw value and
-folds each value once into exact first and second moments plus tail
-counts against thresholds that scale with ln N.  D takes about phi(N)/2
-values, so its pairs stream into the fold unless a histogram is asked
-for.  Either way the tail test is the one rule of _fold.  digit_histogram
-walks each representative with core.cf_walk, whose digit list it counts.
+member 1.  Scans and gk walk Z_N* in _orbits, which folds each digit of
+a/N into the statistic as it goes, and once its divisor is below T,
+about N^(1/3), reads the fold of the rest b/n and the convergent that
+gives a* from a table of every b/n with n < T (_tail_table), built once
+per size and kind without a walk.  S, M, L, S_alt and restricted take
+few distinct values (S 479 of 40,008 members at N = 40009), so a worker
+counts the members of each raw value and folds each value once into
+exact first and second moments plus tail counts against thresholds that
+scale with ln N.  D takes about phi(N)/2 values, so its pairs stream
+into the fold unless a histogram is asked for.  Either way the tail test
+is the one rule of _fold.  digit_histogram counts the digits that _orbits
+walks, and each tail's once per range.
 Workers split the representative range [1, N/2] into contiguous ranges;
 the merge adds the workers' fold vectors element-wise, and their counts
 for a histogram, so the result does not depend on the worker count.
@@ -33,7 +33,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Optional
 
 from .core import (PI2, Record, WeightFn, Window, _prime_factors,
-                   _unit_table, cf_walk)
+                   _unit_table)
 from .errors import (HISTOGRAM_LIMIT, SCAN_LIMIT, STAT_KINDS, InvalidSpec,
                      InvariantError, LimitExceeded)
 
@@ -179,23 +179,6 @@ def _map_ranges(range_fn, N: int, workers: int, *args) -> list:
     return [range_fn(job) for job in jobs]
 
 
-def _representatives(N: int, lo: int, hi: int):
-    """(a, a*, digits of a/N), all from one walk, for each orbit
-    representative a in [lo, hi): a coprime to N with a <= a* = q_{r-1}(a).
-
-    A representative clears its partner a* > a in the range's table from
-    core._unit_table, which compress reads as it goes, so a* is not
-    walked; only a partner in an earlier range costs a discarded walk.
-    """
-    table = _unit_table(N, lo, hi)
-    for a in compress(range(lo, hi), table):
-        digits, star = cf_walk(a, N)
-        if a <= star:
-            if star < hi:
-                table[star - lo] = 0
-            yield a, star, digits
-
-
 def _tail_size(N: int) -> int:
     """T, below which a scan's walk of a/N hands its divisor over to the
     tail table: about N^(1/3), and at least 2.  A walk then reads about a
@@ -215,10 +198,10 @@ def _tail_table(T: int, fold) -> dict:
     P and Q, the convergent p_{k-1}/q_{k-1} before the last of b/n's k
     digits, and F, b/n's fold; besides, by fold (see _tails_for):
       S_alt: sign, (-1)^k;
-      M: R, whether the maximum F repeats, and last, the last digit;
-      a window (f, eta, theta): last; weight, d -> f(d) on the window,
-        else 0, and delta, the change of a window sum when a digit d >= 2
-        becomes 1, d - 1; and W and D, the two for each d < T.
+      M: R, whether the maximum F repeats;
+      a window (f, eta, theta): weight, d -> f(d) on the window, else 0,
+        and delta, the change of a window sum when a digit d >= 2 becomes
+        1, d - 1; and W and D, the two for each d < T.
     Entries of b/n with gcd(b, n) > 1 are never read.  The last table is
     kept, and read only: T grows with N, so a range or a Farey law, which
     take N in ascending order, builds each size once."""
@@ -227,22 +210,19 @@ def _tail_table(T: int, fold) -> dict:
     t = {"T": T, "P": P, "Q": Q, "F": F}
     if fold == "S_alt":
         sign = t["sign"] = [1] * size
+    elif fold == "M":
+        R = t["R"] = [False] * size
     elif fold != "S":
-        last = t["last"] = [0] * size
-        if fold == "M":
-            R = t["R"] = [False] * size
-        else:
-            f, eta, theta = fold
+        f, eta, theta = fold
 
-            def weight(d):
-                return (f(d) if eta <= d and (theta is None or d <= theta)
-                        else 0)
+        def weight(d):
+            return f(d) if eta <= d and (theta is None or d <= theta) else 0
 
-            def delta(d):
-                return weight(1) + weight(d - 1) - weight(d)
-            W = [weight(d) for d in range(T)]
-            t.update(weight=weight, delta=delta, W=W,
-                     D=[0, 0] + [delta(d) for d in range(2, T)])
+        def delta(d):
+            return weight(1) + weight(d - 1) - weight(d)
+        W = [weight(d) for d in range(T)]
+        t.update(weight=weight, delta=delta, W=W,
+                 D=[0, 0] + [delta(d) for d in range(2, T)])
     for n in range(2, T):
         for b in range(1, n):
             d = n // b
@@ -253,22 +233,21 @@ def _tail_table(T: int, fold) -> dict:
             elif fold == "S_alt":
                 F[i] = -d - F[j]
                 sign[i] = -sign[j]
+            elif fold != "M":
+                F[i] = W[d] + F[j]
+            elif d >= F[j]:
+                F[i], R[i] = d, d == F[j]
             else:
-                last[i] = last[j] or d
-                if fold != "M":
-                    F[i] = W[d] + F[j]
-                elif d >= F[j]:
-                    F[i], R[i] = d, d == F[j]
-                else:
-                    F[i], R[i] = F[j], R[j]
+                F[i], R[i] = F[j], R[j]
     return t
 
 
-def _tails_for(N: int, spec: StatSpec) -> dict:
+def _tails_for(N: int, spec: Optional[StatSpec]) -> dict:
     """The tail table for a scan of spec over Z_N*, whose entries fold the
-    digit sum (S), the alternating sum (S_alt, D), the maximum (M), or
-    the weighted sum over a digit window, (f, eta, theta) (L, restricted)."""
-    kind = spec.kind
+    digit sum (S, and None, whose digit mode reads P and Q), the
+    alternating sum (S_alt, D), the maximum (M), or the weighted sum over
+    a digit window, (f, eta, theta) (L, restricted)."""
+    kind = spec.kind if spec else "S"
     if kind == "L":
         fold = WeightFn.one(), spec.b, spec.c
     elif kind == "restricted":
@@ -278,34 +257,36 @@ def _tails_for(N: int, spec: StatSpec) -> dict:
     return _tail_table(_tail_size(N), fold)
 
 
-def _orbits(N: int, lo: int, hi: int, spec: StatSpec, counts: dict):
+def _orbits(N: int, lo: int, hi: int, spec: Optional[StatSpec], counts: dict):
     """Fold spec over the members of the orbits of the representatives in
-    [lo, hi), a <= a* as _representatives picks them: count the members
-    of each raw value into counts, or, for D, yield (raw, multiplicity)
-    pairs.  The raw value is the fold of the digits of a member, or
-    24 N D(a/N).
+    [lo, hi): count the members of each raw value into counts, or, for D,
+    yield (raw, multiplicity) pairs.  The raw value is the fold of the
+    digits of a member, or 24 N D(a/N).  With spec None, gk's digit mode,
+    yield (a, a*, prefix, i): the digits walked, a_1 first, and the tail.
 
-    The walk of a/N keeps no digit list.  It folds each digit into s as it
-    goes, keeps (q_{j-1}, q_j), and stops once its divisor is below T; the
-    rest of a/N is a tail b/n of _tails_for(N, spec), whose entry
-    completes s and gives a* = q_j Q + q_{j-1} P.  Each kind's step on a
-    digit d, beside its entry for [0; d, rest] in _tail_table:
+    A representative a <= a* = q_{r-1}(a) clears a* in the range's
+    core._unit_table, which compress reads as it goes, so only a partner
+    in an earlier range costs a discarded walk.  The walk folds each digit
+    into s (the digit mode lists it), keeps (q_{j-1}, q_j), and stops once
+    its divisor is below T; the rest of a/N is a tail b/n, index i, of
+    _tails_for(N, spec), whose entry completes s and gives a* = q_j Q +
+    q_{j-1} P.  Each kind's step on d, beside its entry for [0; d, rest]:
       S: s += d (d + F of rest);
-      S_alt and D: s = d - s, (-1)^j S_alt of the j digits so far
-        (-d - F);
+      S_alt, D: s = d - s, (-1)^j S_alt of the j digits so far (-d - F);
       M: s = max(s, d), rep whether the maximum repeats (max(d, F), R);
-      a window: s += W[d] (W[d] + F).
-    The orbit of a < N/2 is {a, a*, N - a, N - a*}: a* has a's digits
-    reversed, N - a has [1, a_1 - 1, a_2, ..., a_r] and N - a* has
-    [1, a_r - 1, ..., a_1].  A palindrome a = a* has {a, N - a}, and
-    N = 2 the one member 1.
+      a window: s += W[d] (W[d] + F), and the digit mode W[d] = (d,).
+    The orbit of a < N/2 is {a, a*, N - a, N - a*}, {a, N - a} if a = a*
+    and {1} at N = 2: a* = [0; a_r, ..., a_1], so a_r = N // a*, and N - a
+    (N - a*) has 1, a_1 - 1 (1, a_r - 1) where a (a*) has a_1 (a_r).
     """
     t = _tails_for(N, spec)
     T, P, Q, F = t["T"], t["P"], t["Q"], t["F"]
-    sign, last, R, weight, delta, W, D = map(
-        t.get, ("sign", "last", "R", "weight", "delta", "W", "D"))
-    kind = spec.kind
+    sign, R, weight, delta, W, D = map(
+        t.get, ("sign", "R", "weight", "delta", "W", "D"))
+    kind = spec.kind if spec else None
     is_sum, is_alt, is_max = kind == "S", kind in ("S_alt", "D"), kind == "M"
+    if not kind:  # the digit mode steps as a window whose weight lists d
+        W, weight = [(d,) for d in range(T)], lambda d: (d,)
     if kind == "D":
         from .dedekind import closed_form  # no other kind loads dedekind
     get = counts.get
@@ -316,8 +297,10 @@ def _orbits(N: int, lo: int, hi: int, spec: StatSpec, counts: dict):
         q0, q1 = 1, d
         if is_sum or is_alt or is_max:
             s, rep = d, False
-        else:
+        elif kind:
             s = W[d] if d < T else weight(d)
+        else:
+            s = [d]  # a list, which each window step extends in place
         while x >= T:
             d = x // y
             x, y = y, x - d * y
@@ -367,13 +350,16 @@ def _orbits(N: int, lo: int, hi: int, spec: StatSpec, counts: dict):
             # N - a (N - a*) has s - 1 when a_1 (a_r) is the one maximum
             va = vs = s
             na = s - (not rep and d1 == s)
-            ns = s - (not rep and (last[i] or d) == s)
-        else:
+            ns = s - (not rep and N // star == s)
+        elif kind:  # a window
             s += F[i]
-            dr = last[i] or d
+            dr = N // star
             va = vs = s
             na = s + (D[d1] if d1 < T else delta(d1))
             ns = s + (D[dr] if dr < T else delta(dr))
+        else:
+            yield a, star, s, i
+            continue
         if va == vs:
             counts[va] = get(va, 0) + own
         else:
@@ -462,27 +448,39 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
 
 def _digit_range(args):
     """(counts, last) over the orbits of the representatives in [lo, hi);
-    index m_max + 1 of each holds the digits above m_max."""
+    index m_max + 1 of each holds the digits above m_max.  A tail i's
+    digits count once, for its hits[i] members, in a pass over the table,
+    n descending, that hands b/n's hits to n // b and to (n mod b)/b."""
     N, lo, hi, m_max = args
     top = m_max + 1
     counts = [0] * (top + 1)
-    last = [0] * (top + 1)
-    for a, star, d in _representatives(N, lo, hi):
-        # Every member carries the digits of a, except that N - a and
-        # N - a* swap a_1 and a_r for 1, a_1 - 1 and 1, a_r - 1.  A
-        # palindrome has no separate a*, N - a*.
-        ends = (d[0],) if star == a else (d[0], d[-1])
-        w = len(ends)
-        for q in d:
-            counts[q if q <= m_max else top] += 2 * w
-        counts[1] += w
-        for q in ends:
-            if q <= top:
-                counts[q] -= 1
-                counts[q - 1] += 1
-        # a and N - a end in a_r, a* and N - a* in a_1; N - 1 = [0; 1, N-1]
-        for q in (d[-1], d[0] if len(d) > 1 else d[0] - 1):
-            last[q if q <= m_max else top] += w
+    ends = [0] * (top + 2)  # the a_1 and a_r that N - a and N - a* swap
+    T = _tail_size(N)
+    hits = [0] * (T * T)
+    for a, star, prefix, i in _orbits(N, lo, hi, None, {}):
+        # a, a*, N - a, N - a* carry a's digits (a palindrome has no a*,
+        # N - a*), but N - a (N - a*) swaps a_1 (a_r) for 1, a_1 - 1
+        k = 2 if star == a else 4
+        for q in prefix:
+            counts[q if q <= m_max else top] += k
+        hits[i] += k
+        for q in (prefix[0],) if k == 2 else (prefix[0], N // star):
+            ends[q if q <= top else top + 1] += 1
+    for n in range(T - 1, 1, -1):
+        for b in range(1, n):
+            if h := hits[n * T + b]:
+                counts[min(n // b, top)] += h
+                hits[b * T + n % b] += h
+    # a swapped end q <= top moves a count from q to q - 1, and adds a 1
+    down = ends[1:top + 1] + [0]
+    counts = [c - e + f for c, e, f in zip(counts, ends, down)]
+    counts[1] += sum(ends)
+    # a and N - a end in a_r, a* and N - a* in a_1, so each swapped end is
+    # two last digits, except that N - 1 = [0; 1, N - 1] ends in N - 1
+    last = [2 * e for e in ends[:top]] + [2 * (ends[top] + ends[top + 1])]
+    if lo == 1:
+        last[min(N, top)] -= 1
+        last[min(N - 1, top)] += 1
     return counts, last
 
 
@@ -514,18 +512,20 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
         raise InvalidSpec(f"need m_max >= 1, got {m_max}")
     if m_max > HISTOGRAM_LIMIT:
         raise LimitExceeded(f"m_max {m_max} > {HISTOGRAM_LIMIT}")
+    _tails_for(N, None)  # built here, so that forked workers inherit it
     parts = _map_ranges(_digit_range, N, workers, m_max)
-    counts = {m: sum(p[0][m] for p in parts) for m in range(1, m_max + 1)}
-    last = {m: sum(p[1][m] for p in parts) for m in counts}
-    phi = _visited_phi("digit_histogram", N,  # one last digit per member
-                       sum(sum(p[1]) for p in parts))
+    # the ranges' (counts, last) vectors, each added element-wise
+    every, final = ([*map(sum, zip(*vectors))] for vectors in zip(*parts))
+    phi = _visited_phi("digit_histogram", N, sum(final))  # one a_r a member
+    counts = dict(zip(range(1, m_max + 1), every[1:]))
+    last = dict(zip(counts, final[1:]))
     norm = PI2 / (12 * math.log(2) * math.log(N))
     freq = {m: norm * counts[m] / phi for m in counts}
     interior = {m: norm * (counts[m] - last[m]) / phi for m in counts}
     target = {m: math.log2(1 + 1 / (m * (m + 2))) for m in counts}
     return {"N": N, "phi": phi, "counts": counts, "freq": freq,
             "target": target,
-            "overflow": sum(p[0][m_max + 1] for p in parts),
+            "overflow": every[m_max + 1],
             "last_counts": last, "interior_freq": interior}
 
 

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from cfq import ensemble
 from cfq.errors import InvalidSpec, InvariantError, LimitExceeded
 from cfq.core import alt_sum, count_in, digit_sum_center, windowed_sum
 from cfq.dedekind import dedekind_scaled
-from cfq.ensemble import HISTOGRAM_LIMIT, PI2, STAT_KINDS, _representatives
+from cfq.ensemble import HISTOGRAM_LIMIT, PI2, STAT_KINDS
 from cfq.theorems import constants, mu_window, panov_mean_report, thm_harness
 from cfq.weight import weight_row_at
 
@@ -478,8 +479,10 @@ def test_tail_table_size_leaves_scans_exact(monkeypatch):
     # takes every digit itself and reads the empty tail 0/1, at T = 3 the
     # tails 0/1 and 1/2, and at T = isqrt(N) + 1 about half its digits
     # from the table.  N = 2..300 holds N = 2, and palindromes a^2 = +-1
-    # beside a = 1 (3 at N = 10, 4 at N = 15).  One CPU, so the three
-    # ranges of 3 workers run in this process.
+    # beside a = 1 (3 at N = 10, 4 at N = 15).  gk's digit mode ends at
+    # the same tails, whose digits its pass over the table counts, with
+    # m_max 1, 5 and N + 1 (every digit below the overflow).  One CPU, so
+    # the three ranges of 3 workers run in this process.
     rules = [lambda N: 2, lambda N: 3, lambda N: math.isqrt(N) + 1]
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
                         raising=False)
@@ -503,6 +506,15 @@ def test_tail_table_size_leaves_scans_exact(monkeypatch):
                     assert (s.count, s.sum_scaled, s.sumsq_scaled,
                             s.tail_counts, s.histogram) == ref, (
                         rule(N), N, spec.label(), workers)
+        if N < 3:
+            continue
+        refs = {m_max: _reference_digit_histogram(N, m_max)
+                for m_max in (1, 5, N + 1)}
+        for rule in rules:
+            monkeypatch.setattr(ensemble, "_tail_size", rule)
+            for (m_max, ref), workers in product(refs.items(), (1, 3)):
+                assert digit_histogram(N, m_max, workers) == ref, (
+                    rule(N), N, m_max, workers)
 
 
 def test_orbit_member_digits():
@@ -525,6 +537,17 @@ def test_orbit_member_digits():
     assert cf_digits(3, 10) == [3, 3] and cf_digits(4, 15) == [3, 1, 3]
 
 
+def _representatives(N, lo, hi):
+    """(a, a*, digits of a/N) for each representative that the digit mode
+    of _orbits yields in [lo, hi): the prefix it walked, a_1 first, then
+    the digits of the tail b/n it stopped at, n below T."""
+    T = ensemble._tail_size(N)
+    for a, star, prefix, i in ensemble._orbits(N, lo, hi, None, {}):
+        n, b = divmod(i, T)
+        assert prefix[0] == N // a and 1 <= n < T, (N, a, prefix, i)
+        yield a, star, prefix + (cf_digits(b, n) if b else [])
+
+
 def test_representatives_partition_units_into_orbits(monkeypatch):
     for N in range(2, 300):
         members = []
@@ -543,10 +566,14 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
                     list(_representatives(N, cut, N // 2 + 1)) == \
                     list(_representatives(N, 1, N // 2 + 1)), (N, cut)
     # a partner cleared in the table is never walked: in one range, each
-    # walk yields a representative
+    # unit that compress hands the walk yields a representative
     walks = []
-    monkeypatch.setattr("cfq.ensemble.cf_walk",
-                        lambda a, N: walks.append(a) or cf_walk(a, N))
+
+    def counting(data, selectors):
+        for a in compress(data, selectors):
+            walks.append(a)
+            yield a
+    monkeypatch.setattr(ensemble, "compress", counting)
     for N in (1009, 2310, 40009):
         walks.clear()
         assert len(list(_representatives(N, 1, N // 2 + 1))) == len(walks)
@@ -554,7 +581,9 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
     # a range marks a* only inside itself: 3 workers change nothing, and
     # the walks of partners from earlier ranges are discarded
     for N in (97, 1009):
-        assert digit_histogram(N, 4) == _reference_digit_histogram(N, 4)
+        for workers in (1, 3):
+            assert digit_histogram(N, 4, workers) == \
+                _reference_digit_histogram(N, 4), (N, workers)
         for spec in (StatSpec("S"), StatSpec("M"), StatSpec("D")):
             ref = _reference_scan(N, spec, [1.0], 0.0, True)
             for workers in (1, 3):
@@ -571,8 +600,9 @@ def test_representatives_partition_units_into_orbits(monkeypatch):
 
 
 def _gcd_filter_representatives(N, lo, hi):
-    """The gcd-filter oracle of _representatives: a gcd per numerator, and
-    partners marked in one table over [lo, hi)."""
+    """The gcd-filter oracle of the representatives of _orbits: a gcd per
+    numerator, one full walk each, and partners marked in one table over
+    [lo, hi)."""
     seen = bytearray(hi - lo)
     for a in range(lo, hi):
         if seen[a - lo] or math.gcd(a, N) != 1:

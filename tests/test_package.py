@@ -138,12 +138,11 @@ def test_units_are_enumerated_in_one_place():
                                    "weight.weight_row_at",
                                    "weight.weight_row_at"]
     # The Zaremba scan factors each N once for the blocks it sieves, and
-    # every table of units is sieved by _units or an ensemble walk.
+    # every table of units is sieved by _units or the one orbit walk.
     assert _src_readers("_prime_factors") == ["core._unit_table",
                                               "ensemble.euler_phi",
                                               "search.zaremba_scan"]
-    assert _src_readers("_unit_table") == ["core._units", "ensemble._orbits",
-                                           "ensemble._representatives"]
+    assert _src_readers("_unit_table") == ["core._units", "ensemble._orbits"]
 
 
 def _euclid_loops():
@@ -192,19 +191,31 @@ def _loops(node, scope):
 
 def test_scans_walk_in_one_place():
     # The scans' table-ended walk replaced the digit-list pairs of
-    # _orbit_fn and _palindrome.  Euclid steps are taken by cf_walk (one
-    # fraction's digits), the scans' walk and its tail table, and the two
-    # pruned search walks; trial division and the Farey neighbours are no
-    # Euclid step.  The table's size is one rule of N, read by one caller.
+    # _orbit_fn and _palindrome, and gk's digit mode of it replaced
+    # _representatives, so ensemble walks no fraction with cf_walk.
+    # Euclid steps are taken by cf_walk (one fraction's digits), the orbit
+    # walk, its tail table, gk's tail pass (_digit_range hands each
+    # entry's count to its first digit and its rest) and the two pruned
+    # search walks; trial division and the Farey neighbours are no Euclid
+    # step.  The table's size is one rule of N.
     from cfq import ensemble
-    assert not hasattr(ensemble, "_orbit_fn")
-    assert not hasattr(ensemble, "_palindrome")
-    assert _euclid_loops() == ["core.cf_walk", "ensemble._orbits",
-                               "ensemble._tail_table",
+    for name in ("_orbit_fn", "_palindrome", "_representatives"):
+        assert not hasattr(ensemble, name), name
+    assert [scope for scope in _src_readers("cf_walk")
+            if scope.startswith("ensemble")] == []
+    assert _euclid_loops() == ["core.cf_walk", "ensemble._digit_range",
+                               "ensemble._orbits", "ensemble._tail_table",
                                "search._max_digit_below", "search._sum_below"]
-    assert _src_readers("_tail_size") == ["ensemble._tails_for"]
+    assert _src_readers("_tail_size") == ["ensemble._digit_range",
+                                          "ensemble._tails_for"]
     assert _src_readers("_tail_table") == ["ensemble._tails_for"]
-    assert _src_readers("_tails_for") == ["ensemble._orbits", "ensemble.scan"]
+    assert _src_readers("_tails_for") == ["ensemble._orbits",
+                                          "ensemble.digit_histogram",
+                                          "ensemble.scan"]
+    # a_r is read as N // a*, so no table keeps a last digit
+    for spec in (None, ensemble.StatSpec("M"), ensemble.StatSpec("S_alt"),
+                 ensemble.StatSpec("L", b=1, c=2)):
+        assert "last" not in ensemble._tails_for(1009, spec), spec
 
 
 def test_scan_tails_have_one_rule():

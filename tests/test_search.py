@@ -5,9 +5,9 @@ import pytest
 
 from cfq import search
 from cfq.core import _units, cf_digits, digit_sum_center
-from cfq.ensemble import _representatives
 from cfq.errors import BadRange, InvariantError, LimitExceeded
 from cfq.search import min_max_quotient, min_sum, zaremba_scan
+from test_ensemble import _gcd_filter_representatives
 
 
 def test_min_sum_examples():
@@ -74,7 +74,7 @@ def test_search_matches_full_expansion_brute_force():
 # Zaremba scan started every N at a = 1.
 def _full_walk_min_sum(N):
     best, best_a = N + 1, None
-    for a, _, digits in _representatives(N, 1, N // 2 + 1):
+    for a, _, digits in _gcd_filter_representatives(N, 1, N // 2 + 1):
         s = sum(digits)
         if s < best:
             best, best_a = s, a
