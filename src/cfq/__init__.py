@@ -15,7 +15,7 @@ _EXPORTS = {
              "stat_sum"),
     "dedekind": ("dedekind_bh", "dedekind_direct", "dedekind_scaled",
                  "reciprocity_check"),
-    "discrepancy": ("DiscrepancyReport", "PointSet", "StepFn",
+    "discrepancy": ("DiscrepancyReport", "IntervalQ", "PointSet", "StepFn",
                     "extreme_discrepancy", "koksma_check",
                     "reduced_fraction_discrepancy", "star_discrepancy"),
     "ensemble": ("EnsembleSummary", "StatSpec", "digit_histogram",
@@ -28,10 +28,10 @@ _EXPORTS = {
                "zaremba_scan"),
     "theorems": ("TheoremConstants", "constants", "panov_mean_report",
                  "thm_harness"),
-    "weight": ("IntervalQ", "bijection_identity_check",
-               "counting_identity_check", "interval_I", "interval_Iprime",
-               "interval_left", "row_sum", "integral_row", "weight_eval",
-               "weight_hits", "weight_step_pieces"),
+    "weight": ("bijection_identity_check", "counting_identity_check",
+               "interval_I", "interval_Iprime", "interval_left", "row_sum",
+               "integral_row", "weight_eval", "weight_hits",
+               "weight_step_pieces"),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items()

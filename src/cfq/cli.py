@@ -212,8 +212,7 @@ def cmd_dedekind(args):
 
 
 def cmd_discrepancy(args):
-    from .discrepancy import reduced_fraction_discrepancy
-    from .weight import IntervalQ
+    from .discrepancy import IntervalQ, reduced_fraction_discrepancy
     rng = IntervalQ(args.lo, args.hi, True, True)
     report = reduced_fraction_discrepancy(args.N, rng)
     w = report.witness

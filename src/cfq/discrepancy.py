@@ -23,8 +23,39 @@ from typing import Iterable, Sequence
 
 from .core import Rational, Record, _units
 from .errors import (DISCREPANCY_LIMIT, BadRange, BadSpec, EmptySet,
-                     LimitExceeded)
-from .weight import IntervalQ
+                     InvalidWindow, LimitExceeded)
+
+
+class IntervalQ(Record):
+    """Rational interval with explicit endpoint inclusion flags."""
+
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+
+    def __init__(self, lo: Fraction, hi: Fraction, lo_closed: bool,
+                 hi_closed: bool) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_closed", lo_closed)
+        object.__setattr__(self, "hi_closed", hi_closed)
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            raise InvalidWindow(f"empty interval ({lo}, {hi})")
+
+    @property
+    def measure(self) -> Fraction:
+        return self.hi - self.lo
+
+    def contains(self, x) -> bool:
+        if x < self.lo or x > self.hi:
+            return False
+        if x == self.lo and not self.lo_closed:
+            return False
+        if x == self.hi and not self.hi_closed:
+            return False
+        return True
+
+    def __str__(self) -> str:
+        return (("[" if self.lo_closed else "(") + f"{self.lo}, {self.hi}"
+                + ("]" if self.hi_closed else ")"))
 
 
 class PointSet(Record):

@@ -20,8 +20,9 @@ into the fold unless a histogram is asked for.  Either way the tail test
 is the one rule of _fold.  digit_histogram counts the digits that _orbits
 walks, and each tail's once per range.
 Workers split the representative range [1, N/2] into contiguous ranges;
-the merge adds the workers' fold vectors element-wise, and their counts
-for a histogram, so the result does not depend on the worker count.
+_map_ranges, the one driver of scans and gk, adds their vectors
+element-wise and their histogram counts key by key, and checks phi(N),
+so the result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -90,14 +91,6 @@ def euler_phi(N: int) -> int:
     return result
 
 
-def _visited_phi(walk: str, N: int, members: int) -> int:
-    """phi(N), after checking that walk visited phi(N) members."""
-    if members != (phi := euler_phi(N)):
-        raise InvariantError(f"{walk} visited {members} numerators, "
-                             f"phi({N}) = {phi}")
-    return phi
-
-
 class EnsembleSummary(Record):
     """Exact moments and tail counts of one statistic over Z_N*, immutable
     like every record (its fields cannot be reassigned).
@@ -159,24 +152,39 @@ def _partition(stop: int, workers: int, cpus: int) -> tuple[list, int]:
     return list(zip(bounds, bounds[1:])), min(workers, cpus)
 
 
-def _map_ranges(range_fn, N: int, workers: int, *args) -> list:
-    """range_fn((N, lo, hi, *args)) for each range of _partition over the
-    orbit representatives [1, N/2], in order.
+def _map_ranges(walk: str, range_fn, N: int, spec: Optional[StatSpec],
+                workers: int, *args) -> tuple:
+    """(phi(N), vector, counts) of walk, the one driver of the scans and gk.
 
-    The ranges run serially where the platform cannot fork.
+    It builds spec's tail table, which forked workers inherit, and runs
+    range_fn((N, lo, hi, spec, *args)) over each range of _partition of
+    the orbit representatives [1, N/2], serially where the platform cannot
+    fork.  A range returns (vector, counts or None), its member count
+    first; the merge adds the vectors element-wise and the counts key by
+    key, and the member count must be phi(N).
     """
+    _tails_for(N, spec)
     cpus = 1  # one worker runs in this process whatever the CPU count
     if workers >= 2:
         cpus = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     ranges, processes = _partition(N // 2 + 1, workers, cpus)
-    jobs = [(N, lo, hi) + args for lo, hi in ranges]
+    jobs = [(N, lo, hi, spec) + args for lo, hi in ranges]
+    parts = None
     if processes > 1:
         import multiprocessing  # only a forking run pays for the import
         if "fork" in multiprocessing.get_all_start_methods():
             with multiprocessing.get_context("fork").Pool(processes) as pool:
-                return pool.map(range_fn, jobs)
-    return [range_fn(job) for job in jobs]
+                parts = pool.map(range_fn, jobs)
+    vectors, (counts, *rest) = zip(*(parts or map(range_fn, jobs)))
+    vector = [*map(sum, zip(*vectors))]
+    for part in filter(None, rest):  # None unless a histogram is asked for
+        for key, n in part.items():
+            counts[key] = counts.get(key, 0) + n
+    if vector[0] != (phi := euler_phi(N)):
+        raise InvariantError(f"{walk} visited {vector[0]} numerators, "
+                             f"phi({N}) = {phi}")
+    return phi, vector, counts
 
 
 def _tail_size(N: int) -> int:
@@ -428,18 +436,8 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
         spec.f.validate_on(Window(spec.eta, spec.theta), max_digit=N)
     logN = math.log(N)
     fold_args = ([t * logN for t in thresholds], scale, center, absolute)
-    _tails_for(N, spec)  # built here, so that forked workers inherit it
-    parts = _map_ranges(_scan_range, N, workers, spec, with_histogram,
-                        fold_args)
-    count, sum_scaled, sumsq_scaled, *tails = map(sum, zip(*(
-        fold for fold, _ in parts)))
-    counts = None
-    if with_histogram:
-        counts = parts[0][1]
-        for _, p in parts[1:]:
-            for raw, v in p.items():
-                counts[raw] = counts.get(raw, 0) + v
-    phi = _visited_phi("scan", N, count)
+    phi, (count, sum_scaled, sumsq_scaled, *tails), counts = _map_ranges(
+        "scan", _scan_range, N, spec, workers, with_histogram, fold_args)
     # by position: a keyword build costs Record.__init__ a slice per field
     return EnsembleSummary(N, phi, spec, count, scale, sum_scaled,
                            sumsq_scaled, dict(zip(thresholds, tails)),
@@ -447,17 +445,18 @@ def scan(N: int, spec: StatSpec, thresholds: Optional[list] = None,
 
 
 def _digit_range(args):
-    """(counts, last) over the orbits of the representatives in [lo, hi);
-    index m_max + 1 of each holds the digits above m_max.  A tail i's
+    """([members, *counts, *last], None) over the orbits of the
+    representatives in [lo, hi), each member one last digit; index m_max
+    + 1 of counts and last holds the digits above m_max.  A tail i's
     digits count once, for its hits[i] members, in a pass over the table,
     n descending, that hands b/n's hits to n // b and to (n mod b)/b."""
-    N, lo, hi, m_max = args
+    N, lo, hi, spec, m_max = args
     top = m_max + 1
     counts = [0] * (top + 1)
     ends = [0] * (top + 2)  # the a_1 and a_r that N - a and N - a* swap
-    T = _tail_size(N)
+    T = _tails_for(N, spec)["T"]
     hits = [0] * (T * T)
-    for a, star, prefix, i in _orbits(N, lo, hi, None, {}):
+    for a, star, prefix, i in _orbits(N, lo, hi, spec, {}):
         # a, a*, N - a, N - a* carry a's digits (a palindrome has no a*,
         # N - a*), but N - a (N - a*) swaps a_1 (a_r) for 1, a_1 - 1
         k = 2 if star == a else 4
@@ -481,7 +480,7 @@ def _digit_range(args):
     if lo == 1:
         last[min(N, top)] -= 1
         last[min(N - 1, top)] += 1
-    return counts, last
+    return [sum(last), *counts, *last], None
 
 
 def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
@@ -512,11 +511,9 @@ def digit_histogram(N: int, m_max: int, workers: int = 1) -> dict:
         raise InvalidSpec(f"need m_max >= 1, got {m_max}")
     if m_max > HISTOGRAM_LIMIT:
         raise LimitExceeded(f"m_max {m_max} > {HISTOGRAM_LIMIT}")
-    _tails_for(N, None)  # built here, so that forked workers inherit it
-    parts = _map_ranges(_digit_range, N, workers, m_max)
-    # the ranges' (counts, last) vectors, each added element-wise
-    every, final = ([*map(sum, zip(*vectors))] for vectors in zip(*parts))
-    phi = _visited_phi("digit_histogram", N, sum(final))  # one a_r a member
+    phi, vector, _ = _map_ranges("digit_histogram", _digit_range, N, None,
+                                 workers, m_max)
+    every, final = vector[1:m_max + 3], vector[m_max + 3:]  # counts, last
     counts = dict(zip(range(1, m_max + 1), every[1:]))
     last = dict(zip(counts, final[1:]))
     norm = PI2 / (12 * math.log(2) * math.log(N))

@@ -2,6 +2,7 @@
 
 Only the constants command and the library's callers use these, so a
 scan, search or Farey process neither imports nor compiles this module.
+The harnesses import ensemble as they run: constants compiles no scan.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import math
 from typing import Optional
 
 from .core import PI2, Record, WeightFn, Window, digit_sum_center, gauss_mass
-from .ensemble import StatSpec, hensley_limit, scan
 from .errors import HISTOGRAM_LIMIT, InvalidSpec, InvalidWindow, LimitExceeded
 
 
@@ -72,6 +72,7 @@ def thm_harness(N: int, which: str, t_values: Optional[list] = None,
     T3: mean of L_[b,c] should be within 10 percent of mu_[b,c] ln N.
     T4: like T1 for |D(a/N)| without centering.
     """
+    from .ensemble import StatSpec, hensley_limit, scan
     if N < 3:
         raise InvalidSpec(f"harness needs N >= 3, got {N}")
     logN = math.log(N)
@@ -115,6 +116,7 @@ def thm_harness(N: int, which: str, t_values: Optional[list] = None,
 
 def panov_mean_report(N: int) -> dict:
     """Exact mean of S over Z_N* next to its (6/pi^2) (ln N)^2 main term."""
+    from .ensemble import StatSpec, scan
     summary = scan(N, StatSpec("S"))
     target = (6 / PI2) * math.log(N) ** 2
     return {"N": N, "mean": summary.mean, "exact_mean": summary.exact_mean,

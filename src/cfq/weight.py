@@ -20,42 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .core import (ReducedFraction, Rational, Record, WeightFn, Window,
-                   _units, cf_digits, convergents_of, gauss_mass,
-                   windowed_sum)
+from .core import (ReducedFraction, Rational, WeightFn, Window, _units,
+                   cf_digits, convergents_of, gauss_mass, windowed_sum)
+from .discrepancy import IntervalQ
 from .errors import BadDigit, InvalidWindow, NotCoprime
-
-
-class IntervalQ(Record):
-    """Rational interval with explicit endpoint inclusion flags."""
-
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
-
-    def __init__(self, lo: Fraction, hi: Fraction, lo_closed: bool,
-                 hi_closed: bool) -> None:
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "lo_closed", lo_closed)
-        object.__setattr__(self, "hi_closed", hi_closed)
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            raise InvalidWindow(f"empty interval ({lo}, {hi})")
-
-    @property
-    def measure(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    def __str__(self) -> str:
-        return (("[" if self.lo_closed else "(") + f"{self.lo}, {self.hi}"
-                + ("]" if self.hi_closed else ")"))
 
 
 def _check_prefix(b: int, k: int, m: int) -> None:

@@ -23,9 +23,9 @@ PUBLIC = {
             "stat_count stat_max stat_sum",
     "dedekind": "dedekind_bh dedekind_direct dedekind_scaled "
                 "reciprocity_check",
-    "discrepancy": "DiscrepancyReport PointSet StepFn extreme_discrepancy "
-                   "koksma_check reduced_fraction_discrepancy "
-                   "star_discrepancy",
+    "discrepancy": "DiscrepancyReport IntervalQ PointSet StepFn "
+                   "extreme_discrepancy koksma_check "
+                   "reduced_fraction_discrepancy star_discrepancy",
     "ensemble": "EnsembleSummary StatSpec digit_histogram euler_phi scan",
     "errors": "CfqError",
     "farey": "bd_tail enumerate_farey hensley_tail vardi_sample",
@@ -33,7 +33,7 @@ PUBLIC = {
                "verify_continuant_identity",
     "search": "ExtremalRecord min_max_quotient min_sum zaremba_scan",
     "theorems": "TheoremConstants constants panov_mean_report thm_harness",
-    "weight": "IntervalQ bijection_identity_check counting_identity_check "
+    "weight": "bijection_identity_check counting_identity_check "
               "interval_I interval_Iprime interval_left row_sum integral_row "
               "weight_eval weight_hits weight_step_pieces",
 }
@@ -54,11 +54,11 @@ PROBED = {
 }
 
 # Modules that some commands do not need: core every command but --help
-# loads; ensemble scan, gk, farey and constants; search only
-# search; farey only farey; discrepancy and weight only discrepancy;
-# dedekind only D, expand and dedekind; theorems only constants; fractions
-# (with the decimal and numbers it imports) only a command that builds a
-# Fraction; json only a command that prints JSON.  No command loads reflect.
+# loads; ensemble scan, gk and farey; search only search; farey only
+# farey; discrepancy only discrepancy; dedekind only D, expand and
+# dedekind; theorems only constants; fractions (with the decimal and
+# numbers it imports) only a command that builds a Fraction; json only a
+# command that prints JSON.  No command loads reflect or weight.
 WATCHED = ["cfq.core", "cfq.dedekind", "cfq.discrepancy", "cfq.ensemble",
            "cfq.farey", "cfq.reflect", "cfq.search", "cfq.theorems",
            "cfq.weight", "decimal", "fractions", "json", "numbers"]
@@ -197,21 +197,27 @@ def test_scans_walk_in_one_place():
     # walk, its tail table, gk's tail pass (_digit_range hands each
     # entry's count to its first digit and its rest) and the two pruned
     # search walks; trial division and the Farey neighbours are no Euclid
-    # step.  The table's size is one rule of N.
+    # step.  The table's size is one rule of N.  _map_ranges, the one
+    # driver of scan and gk, builds the table before it forks, merges the
+    # ranges and checks that they visited phi(N) members.
     from cfq import ensemble
-    for name in ("_orbit_fn", "_palindrome", "_representatives"):
+    for name in ("_orbit_fn", "_palindrome", "_representatives",
+                 "_visited_phi"):
         assert not hasattr(ensemble, name), name
+    assert [scope for scope in _src_readers("euler_phi")
+            if scope.startswith("ensemble")] == ["ensemble._map_ranges"]
+    assert _src_readers("_map_ranges") == ["ensemble.digit_histogram",
+                                           "ensemble.scan"]
     assert [scope for scope in _src_readers("cf_walk")
             if scope.startswith("ensemble")] == []
     assert _euclid_loops() == ["core.cf_walk", "ensemble._digit_range",
                                "ensemble._orbits", "ensemble._tail_table",
                                "search._max_digit_below", "search._sum_below"]
-    assert _src_readers("_tail_size") == ["ensemble._digit_range",
-                                          "ensemble._tails_for"]
+    assert _src_readers("_tail_size") == ["ensemble._tails_for"]
     assert _src_readers("_tail_table") == ["ensemble._tails_for"]
-    assert _src_readers("_tails_for") == ["ensemble._orbits",
-                                          "ensemble.digit_histogram",
-                                          "ensemble.scan"]
+    assert _src_readers("_tails_for") == ["ensemble._digit_range",
+                                          "ensemble._map_ranges",
+                                          "ensemble._orbits"]
     # a_r is read as N // a*, so no table keeps a last digit
     for spec in (None, ensemble.StatSpec("M"), ensemble.StatSpec("S_alt"),
                  ensemble.StatSpec("L", b=1, c=2)):
@@ -405,8 +411,7 @@ def test_importing_cli_loads_no_command_only_module():
     (["gk", "101"], SCAN),
     (["search", "--range", "2", "10"], ["cfq.core", "cfq.search"]),
     (["farey", "10"], [*SCAN, "cfq.farey", "json"]),
-    (["discrepancy", "6"], ["cfq.core", "cfq.discrepancy", "cfq.weight",
-                            *EXACT, "json"]),
+    (["discrepancy", "6"], ["cfq.core", "cfq.discrepancy", *EXACT, "json"]),
     (["expand", "10", "7"], ["cfq.core", "cfq.dedekind", *EXACT, "json"]),
     (["dedekind", "10", "3"], ["cfq.core", "cfq.dedekind", *EXACT, "json"]),
     (["scan", "101", "--stat", "D", "--t", "1"],
@@ -422,7 +427,7 @@ def test_importing_cli_loads_no_command_only_module():
     (["farey", "10", "--law", "vardi"],
      [*SCAN, "cfq.dedekind", "cfq.farey", "json"]),
     (["farey", "10", "--law", "bd"], [*SCAN, "cfq.farey", "json"]),
-    (["constants"], [*SCAN, "cfq.theorems", "json"]),
+    (["constants"], ["cfq.core", "cfq.theorems", "json"]),
     (["search", "--min-stat", "S", "--range", "2", "10"],
      ["cfq.core", "cfq.search"]),
 ])
