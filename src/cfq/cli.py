@@ -239,14 +239,12 @@ def cmd_search(args):
         bad = zaremba_scan(lo, hi, args.zaremba)
         return "json", [{"K": args.zaremba, "range": [lo, hi],
                          "without_witness": bad}]
-    from .search import _check_N
-    _check_N(lo)  # both ends, before the first row is written
-    _check_N(hi)
-    finder = min_sum if args.min_stat == "S" else min_max_quotient
+    from .search import search
+    stat = args.min_stat or "M"
+    rows = search(lo, hi, stat, min_sum if stat == "S" else min_max_quotient)
     return "csv", ({"N": r.N, "argmin": r.argmin_a, "min": r.min_value,
                     "bound": r.bound_value,
-                    "margin": r.min_value - r.bound_value}
-                   for r in map(finder, range(lo, hi + 1)))
+                    "margin": r.min_value - r.bound_value} for r in rows)
 
 
 def cmd_farey(args):

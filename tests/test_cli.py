@@ -81,7 +81,6 @@ def test_scan_range_streams(capsys):
 
 @pytest.mark.parametrize("argv, name", [
     (["scan", "--range", "3", "6"], "scan"),
-    (["search", "--range", "2", "6"], "min_max_quotient"),
 ])
 def test_range_output_streams(monkeypatch, argv, name):
     # The rows written when each N is computed: the row of N is out before
@@ -104,6 +103,33 @@ def test_range_output_streams(monkeypatch, argv, name):
     lo, hi = int(argv[2]), int(argv[3])
     assert seen == [(N, N - lo) for N in range(lo, hi + 1)]
     assert rows() == hi - lo + 1
+
+
+@pytest.mark.parametrize("stat", ["M", "S"])
+def test_search_range_output_streams(monkeypatch, stat):
+    # A range search walks its tree before the first row and runs the per-N
+    # search only where the tree does not reach, so the rows are watched as
+    # the range path produces them: in N order, each written before the
+    # next is produced.
+    from cfq import search
+    real = search.search
+    out = io.StringIO()
+    seen = []
+
+    def rows():
+        return sum(not line.startswith("N,")
+                   for line in out.getvalue().splitlines())
+
+    def probe(*args):
+        for r in real(*args):
+            seen.append((r.N, rows()))
+            yield r
+
+    monkeypatch.setattr(search, "search", probe)
+    with contextlib.redirect_stdout(out):
+        assert main(["search", "--min-stat", stat, "--range", "2", "40"]) == 0
+    assert seen == [(N, N - 2) for N in range(2, 41)]
+    assert rows() == 39
 
 
 # The bytes each subcommand writes, so a change to the output rule or to a

@@ -186,3 +186,92 @@ def test_zaremba_scan_sieves_about_what_it_reads(monkeypatch):
                      if max(cf_digits(a, N)) <= 5)
         assert factored == [N]
         assert sum(sieved) <= 2 * (first - lo) + math.isqrt(N) + 1, N
+
+
+def _row(r):
+    return (*_fields(r), r.min_value - r.bound_value)
+
+
+def _range_rows(lo, hi, stat):
+    """The range path's rows and the N it handed to the per-N search."""
+    finder = min_sum if stat == "S" else min_max_quotient
+    per_N = []
+    rows = [_row(r) for r in search.search(
+        lo, hi, stat, lambda N: (per_N.append(N), finder(N))[1])]
+    return rows, per_N
+
+
+@pytest.mark.parametrize("stat", ["M", "S"])
+@pytest.mark.parametrize("lo, hi", [(2, 2000), (3, 601), (6, 603), (2, 3),
+                                    (2, 2), (3, 3), (997, 997)])
+def test_range_search_matches_the_per_N_search(stat, lo, hi):
+    # Row by row (N, argmin, min, bound, bound_holds, margin); the tree hands
+    # to the per-N search exactly the N whose minimum lies past its digit
+    # bound: min M > 3, or min S > floor(digit_sum_center(hi)).
+    finder = min_sum if stat == "S" else min_max_quotient
+    expected = [_row(finder(N)) for N in range(lo, hi + 1)]
+    rows, per_N = _range_rows(lo, hi, stat)
+    assert rows == expected
+    if 2 * lo <= hi:
+        bound = math.floor(digit_sum_center(hi)) if stat == "S" else 3
+        assert per_N == [row[0] for row in expected if row[2] > bound]
+    else:
+        assert per_N == list(range(lo, hi + 1))
+
+
+def test_range_search_matches_for_every_small_hi():
+    # small hi puts the S tree's bound at 2 or below (at hi = 4 it is 0)
+    for hi in range(2, 80):
+        for stat, finder in (("M", min_max_quotient), ("S", min_sum)):
+            assert _range_rows(2, hi, stat)[0] == [
+                _row(finder(N)) for N in range(2, hi + 1)], (stat, hi)
+
+
+@pytest.mark.parametrize("stat", ["M", "S"])
+def test_narrow_ranges_take_the_per_N_search(monkeypatch, stat):
+    # The tree's cost depends on hi alone, so a narrow range high up walks
+    # no tree: every N goes to the per-N search.
+    walks = []
+    tree = search._tree
+    monkeypatch.setattr(search, "_tree",
+                        lambda *args: (walks.append(args), tree(*args))[1])
+    finder = min_sum if stat == "S" else min_max_quotient
+    rows, per_N = _range_rows(100000, 100004, stat)
+    assert rows == [_row(finder(N)) for N in range(100000, 100005)]
+    assert per_N == list(range(100000, 100005)) and walks == []
+    # Just below the limit one per-N search takes about a second, so the
+    # per-N search is a stand-in here.
+    lo = search.SEARCH_LIMIT - 3
+    assert list(search.search(lo, search.SEARCH_LIMIT, stat, lambda N: -N)) \
+        == [-N for N in range(lo, search.SEARCH_LIMIT + 1)]
+    assert walks == []
+    search.search(2, 20, stat)
+    assert walks
+
+
+@pytest.mark.parametrize("log", [1.0, 0.9])
+def test_range_search_raises_where_the_per_N_search_does(monkeypatch, log):
+    # With ln N read as 1 the per-N search raises at N = 6, which no tree
+    # reaches; read as 0.9 the bound 2.7 is below min M(a/4) = 3, where
+    # the K = 3 tree reaches 4.
+    monkeypatch.setattr(search, "math",
+                        SimpleNamespace(log=lambda N: log, floor=math.floor))
+
+    def until_raised(records):
+        rows = []
+        with pytest.raises(InvariantError) as info:
+            for r in records:
+                rows.append(_row(r))
+        return rows, str(info.value)
+
+    rows, message = until_raised(search.search(2, 40, "M"))
+    assert (rows, message) == until_raised(map(min_max_quotient,
+                                               range(2, 41)))
+    assert len(rows) == {1.0: 4, 0.9: 2}[log]
+
+
+def test_range_search_checks_both_ends_before_the_first_record():
+    with pytest.raises(LimitExceeded):
+        search.search(2, search.SEARCH_LIMIT + 1)
+    with pytest.raises(BadRange):
+        search.search(1, 3, "S")
